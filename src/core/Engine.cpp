@@ -83,8 +83,9 @@ Engine::Engine(const EngineConfig &Config)
   TelemIds.EvalsTotal =
       Telem.counter("eval_requests_total", "top-level eval requests run");
   TelemIds.HostNsPerCycle = Telem.gauge(
-      "host_ns_per_virtual_cycle", "host nanoseconds per simulated virtual "
-                                   "cycle of the last measured run");
+      "host_ns_per_virtual_cycle",
+      "host nanoseconds (run minus collection) per simulated processor-"
+      "cycle (busy + idle, summed over processors) of the last measured run");
   TelemIds.RestartLatency = Telem.histogram(
       "supervisor_restart_latency_cycles",
       "virtual cycles from a supervised group's stop to its restart firing");

@@ -288,6 +288,26 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
     case TraceEventKind::SemAcquire:
     case TraceEventKind::SemRelease:
       break; // No effect on the DAG.
+    case TraceEventKind::CheckpointTaken:
+      break; // A capture inside the running segment; its cost is busy time.
+    case TraceEventKind::TaskRestored:
+      break; // Like TaskRecovered: the task's next TaskStart opens its
+             // segment from the ReadyPath it already has.
+    case TraceEventKind::ByzantineDetected:
+      break; // The cross-check re-execution is charged inside the segment.
+    case TraceEventKind::GroupQuotaStop:
+    case TraceEventKind::GroupBudgetStop:
+      break; // The stopped member's own TaskStopped closes its segment.
+    case TraceEventKind::GroupShed:
+      break; // The shed group's tasks end by TaskDropped; no edge.
+    case TraceEventKind::GroupQueued:
+    case TraceEventKind::GroupAdmitted:
+      break; // Admission is a queue push of a root whose TaskCreate is
+             // already in the stream; its TaskStart opens the segment.
+    case TraceEventKind::SupervisorRestart:
+      break; // Re-enqueues stopped tasks; their TaskStart resumes them.
+    case TraceEventKind::SupervisorGaveUp:
+      break; // Bookkeeping only: no task is created or woken.
     }
   }
 

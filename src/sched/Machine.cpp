@@ -25,6 +25,7 @@ Machine::Machine(unsigned NumProcessors, uint64_t QuantumCycles,
       Adaptive(Adaptive) {
   assert(NumProcessors >= 1 && "need at least one processor");
   Procs.resize(NumProcessors);
+  Sleep.resize(NumProcessors);
   for (unsigned I = 0; I < NumProcessors; ++I) {
     Procs[I].Id = I;
     Procs[I].Adapt.T = Adaptive.StartT;
@@ -116,7 +117,7 @@ void Machine::setClocks(const std::vector<uint64_t> &C) {
 unsigned Machine::minClockProcessor() const {
   unsigned Best = ~0u;
   for (unsigned I = 0; I < Procs.size(); ++I) {
-    if (Procs[I].Dead)
+    if (Procs[I].Dead || (NumAsleep && Sleep[I].Asleep))
       continue;
     if (Best == ~0u || Procs[I].Clock < Procs[Best].Clock)
       Best = I;
@@ -129,6 +130,41 @@ bool Machine::quiescent(const Engine &E) const {
     if (!P.Dead && (P.Current != InvalidTask || P.Queues.depth() > 0))
       return false;
   return const_cast<Engine &>(E).seams().empty();
+}
+
+bool Machine::idleRoundsFail(Engine &E) const {
+  bool AnyCurrent = false;
+  for (const Processor &P : Procs) {
+    if (P.Dead)
+      continue;
+    if (P.Queues.depth() > 0)
+      return false;
+    AnyCurrent |= P.Current != InvalidTask;
+  }
+  return AnyCurrent && E.seams().empty();
+}
+
+void Machine::wakeAll(Engine &E, uint64_t H, unsigned B) {
+  EngineStats &S = E.stats();
+  for (unsigned I = 0; I < Procs.size(); ++I) {
+    Sleeper &Z = Sleep[I];
+    if (!Z.Asleep)
+      continue;
+    Processor &Q = Procs[I];
+    uint64_t K = idleRoundsBefore(Q.Clock, I, Z.RoundBusy + cost::IdleTick,
+                                  H, B);
+    Q.Clock += K * (Z.RoundBusy + cost::IdleTick);
+    Q.BusyCycles += K * Z.RoundBusy;
+    Q.IdleCycles += K * cost::IdleTick;
+    Q.StealAttempts += K * Z.RoundProbes;
+    Q.StealsFailed += K * Z.RoundProbes;
+    S.IdleCycles += K * cost::IdleTick;
+    S.StealAttempts += K * Z.RoundProbes;
+    S.StealsFailed += K * Z.RoundProbes;
+    SleepStats.RoundsReplayed += K;
+    Z.Asleep = false;
+  }
+  NumAsleep = 0;
 }
 
 unsigned Machine::liveProcessors() const {
@@ -164,15 +200,33 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
   RunStart = Start;
   InRun = true;
   struct InRunGuard {
-    bool &Flag;
-    ~InRunGuard() { Flag = false; }
-  } RunGuard{InRun};
+    Machine &M;
+    ~InRunGuard() {
+      assert(M.NumAsleep == 0 && "a processor slept past the end of a run");
+      M.InRun = false;
+    }
+  } RunGuard{*this};
   for (Processor &P : Procs) {
     uint64_t Skew = Start - P.Clock;
     P.Clock = Start;
     P.IdleCycles += Skew;
     E.stats().IdleCycles += Skew;
   }
+
+  // Idle sleep. While every queue and the seam deque are empty and some
+  // processor still runs a task, an idle processor's round fails at a
+  // fixed cost and changes nothing shared, so after one such round the
+  // processor sleeps: it leaves min-clock selection, and wakeAll later
+  // credits it in closed form with the rounds it would have run before
+  // the step that ends that state. Only runs nothing observes round by
+  // round may sleep: the tracer logs every probe, and faults, the tenant
+  // layer and adaptive T all poll at the loop top.
+  const bool MaySleep = !E.tracer().enabled() && !E.faults().armed() &&
+                        !E.tenantArmed() && !Adaptive.Enabled;
+  auto WakeBefore = [&](const Processor &B) {
+    if (NumAsleep)
+      wakeAll(E, B.Clock, B.Id);
+  };
 
   RunResult R;
   unsigned FruitlessGcs = 0;
@@ -227,6 +281,12 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
 
     Processor &P = Procs[minClockProcessor()];
     if (P.Clock - Start > MaxRunCycles) {
+      if (NumAsleep) {
+        // The sleepers' rounds that start within the limit still run
+        // first; the minimum over every processor is then reported.
+        wakeAll(E, Start + MaxRunCycles + 1, 0);
+        continue;
+      }
       R.Status = RunStatus::CycleLimit;
       R.Error = "virtual cycle limit exceeded";
       R.ElapsedCycles = P.Clock - Start;
@@ -357,6 +417,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
         // The group stopped while this task was current on another
         // processor's signal: suspend it (paper: "no other tasks in the
         // group will run").
+        WakeBefore(P);
         P.Current = InvalidTask;
         if (G.State == GroupState::Stopped &&
             T.State == TaskState::Running) {
@@ -372,6 +433,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       }
       if (T.State != TaskState::Running) {
         // Stopped by its own raise, or finished: detach.
+        WakeBefore(P);
         P.Current = InvalidTask;
         continue;
       }
@@ -380,6 +442,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       // whole run), exceeding MaxCycles stops the runaway group so the
       // breakloop can inspect, kill, or resume it with a fresh budget.
       if (P.Clock - Start > E.config().MaxCycles) {
+        WakeBefore(P);
         E.stopGroupRestartable(
             P, T,
             strFormat("cycle-budget-exhausted: group %u exceeded %llu "
@@ -420,6 +483,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       // its finite budget (the capture-to-kill delta); a lineage
       // re-spawn (budget ~0) charges its whole re-run, as before.
       bool ChargeRecovery = T.Recovered;
+      uint64_t StepClock = P.Clock;
       uint64_t BusyBefore = P.BusyCycles;
       StepOutcome Step = interpretTask(E, P, T, P.Clock + Quantum);
       uint64_t BusyDelta = P.BusyCycles - BusyBefore;
@@ -439,6 +503,12 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
             T.Recovered = false; // caught up with the lost delta
         }
       }
+      // Sleepers wake up to this step's key once it ends anything but a
+      // time slice (done, blocked, stopped, or a collection that needs
+      // caught-up clocks), resolves the root, or leaves work visible.
+      if (NumAsleep && (Step != StepOutcome::TimeSlice || E.rootResolved() ||
+                        !idleRoundsFail(E)))
+        wakeAll(E, StepClock, P.Id);
       switch (Step) {
       case StepOutcome::TimeSlice:
         FruitlessGcs = 0;
@@ -560,7 +630,12 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       continue;
     }
 
-    // Idle processor: find work.
+    // Idle processor: find work. While anyone sleeps, idleRoundsFail
+    // holds (every step that could break it wakes them), so the scan is
+    // skipped.
+    bool WillFail = MaySleep && (NumAsleep || idleRoundsFail(E));
+    uint64_t BusyBefore = P.BusyCycles;
+    uint64_t ProbesBefore = P.StealAttempts;
     TaskId Next = dispatchNextTask(E, *this, P);
     if (Next != InvalidTask) {
       if (P.TraceIdling) {
@@ -577,6 +652,17 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
     P.Clock += cost::IdleTick;
     P.IdleCycles += cost::IdleTick;
     E.stats().IdleCycles += cost::IdleTick;
+    ++SleepStats.RoundsRun;
+
+    if (WillFail) {
+      // Some processor runs a task, so the machine is not quiescent.
+      Sleeper &Z = Sleep[P.Id];
+      Z.Asleep = true;
+      Z.RoundBusy = P.BusyCycles - BusyBefore;
+      Z.RoundProbes = P.StealAttempts - ProbesBefore;
+      ++NumAsleep;
+      continue;
+    }
 
     if (quiescent(E)) {
       // A quiescent machine with a supervisor restart pending is not

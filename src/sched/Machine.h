@@ -120,6 +120,25 @@ struct RunResult {
   HeapFacts Heap; ///< meaningful for HeapExhausted (and heap-caused stops)
 };
 
+/// Counters of the idle-sleep path (see Machine::run). Machine-lifetime,
+/// never reset, and kept out of the metrics report: they describe how the
+/// host played the run, not the virtual machine.
+struct IdleSleepStats {
+  uint64_t RoundsRun = 0;      ///< failed idle rounds stepped one at a time
+  uint64_t RoundsReplayed = 0; ///< failed idle rounds credited in closed form
+};
+
+/// How many failed idle rounds a sleeping processor \p S runs before the
+/// machine steps the processor keyed (\p H, \p B). Its rounds start at
+/// clocks C, C+R, C+2R, ...; the machine steps processors in (clock,
+/// index) order, so a round starting at H runs first only when S < B.
+inline uint64_t idleRoundsBefore(uint64_t C, unsigned S, uint64_t R,
+                                 uint64_t H, unsigned B) {
+  if (S < B)
+    return C <= H ? (H - C) / R + 1 : 0;
+  return C < H ? (H - C - 1) / R + 1 : 0;
+}
+
 /// The machine.
 class Machine {
 public:
@@ -128,7 +147,10 @@ public:
           const AdaptiveTConfig &Adaptive = AdaptiveTConfig());
 
   /// Runs until the future \p RootFuture resolves (or an exceptional
-  /// status). Runnable tasks must already be enqueued.
+  /// status). Runnable tasks must already be enqueued. Unless an observer
+  /// is armed (tracer, faults, tenant layer, adaptive T), idle processors
+  /// sleep through stretches of failed steal rounds and are credited with
+  /// them in closed form, with the same virtual result.
   RunResult run(Engine &E, Value RootFuture);
 
   unsigned numProcessors() const {
@@ -181,8 +203,28 @@ public:
   /// of sitting on a dead queue forever.
   Processor &homeFor(unsigned Preferred);
 
+  const IdleSleepStats &idleSleepStats() const { return SleepStats; }
+
 private:
+  /// The live, awake processor with the smallest (clock, index) key.
   unsigned minClockProcessor() const;
+
+  /// True when every queue and the seam deque are empty and some live
+  /// processor still has a current task: the state in which an idle
+  /// round is a fixed-cost failure that changes nothing shared.
+  bool idleRoundsFail(Engine &E) const;
+
+  /// Credits every sleeping processor with the failed rounds it would
+  /// have run before the step keyed (\p H, \p B), then wakes it.
+  void wakeAll(Engine &E, uint64_t H, unsigned B);
+
+  /// A sleeping processor and the cost of one of its failed rounds (the
+  /// round also pays cost::IdleTick; every probe fails).
+  struct Sleeper {
+    bool Asleep = false;
+    uint64_t RoundBusy = 0;
+    uint64_t RoundProbes = 0;
+  };
 
   /// Closes \p P's adaptation window: reads the window's signals, feeds
   /// them through decideStep/applyStep (or an injected adapt-clamp /
@@ -192,6 +234,9 @@ private:
   void beginAdaptiveWindow(Processor &P);
 
   std::vector<Processor> Procs;
+  std::vector<Sleeper> Sleep; ///< parallel to Procs
+  unsigned NumAsleep = 0;
+  IdleSleepStats SleepStats;
   uint64_t Quantum;
   uint64_t MaxRunCycles;
   StealOrder Order;

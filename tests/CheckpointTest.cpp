@@ -391,13 +391,10 @@ TEST(CheckpointTest, KillInsideACollectionIsCompletedBySurvivors) {
   // i.e. after GcEnd, because the engine defers the machine-level death
   // until the collection has committed.
   const auto &Events = E.tracer().events();
-  size_t GcBegin = Events.size(), GcEnd = Events.size(),
-         Kill = Events.size();
+  size_t GcBegin = Events.size(), Kill = Events.size();
   for (size_t I = 0; I < Events.size(); ++I) {
     if (Events[I].Kind == TraceEventKind::GcBegin && GcBegin == Events.size())
       GcBegin = I;
-    if (Events[I].Kind == TraceEventKind::GcEnd)
-      GcEnd = I;
     if (Events[I].Kind == TraceEventKind::ProcKilled && Kill == Events.size())
       Kill = I;
   }

@@ -4,11 +4,13 @@
 Two halves, both required for a green run:
 
   1. Bench sweep: every paper-table bench must be race-free under the
-     online detector, AND its virtual-cycle counts must be bit-identical
-     to tools/golden_metrics.json. Trace recording costs zero virtual
-     time, so arming the detector must not move a single cycle; any
-     drift here means the detector (or its tracer hooks) leaked cost
-     into the simulation.
+     online detector, AND its virtual-cycle counts and latency-histogram
+     summaries must be bit-identical to tools/golden_metrics.json.
+     Trace recording costs zero virtual time, so arming the detector
+     must not move a single cycle; any drift here means the detector
+     (or its tracer hooks) leaked cost into the simulation. With the
+     tracer on no idle processor sleeps, so this also checks the
+     round-by-round side of the idle-sleep parity.
 
   2. Racy-program suite: each tests/race/racy_*.lisp must be flagged
      (>= 1 race, report naming BOTH accesses), and each
@@ -38,6 +40,8 @@ BENCHES = [
 ]
 
 METRIC_LINE = re.compile(r"^;; virtual-cycles: (\S+) (\d+)\s*$")
+# Same "<tag>@<name>" keys as tools/collect_metrics.py.
+HISTO_LINE = re.compile(r"^;; histo: (\S+) (\S+) (\S.*?)\s*$")
 # searched, not matched: REPL output lines carry a "mul-t> " prompt prefix
 RACES_LINE = re.compile(r"\braces: (\d+)")
 # One side of a race report: "write by task 3 (spawned at f+4) at cycle ..."
@@ -91,6 +95,10 @@ def check_benches(build_dir, golden_path):
             if m:
                 seen[m.group(1)] = int(m.group(2))
                 continue
+            h = HISTO_LINE.match(line)
+            if h:
+                seen[f"{h.group(1)}@{h.group(2)}"] = h.group(3)
+                continue
             m = RACES_LINE.search(line)
             if m:
                 race_lines += 1
@@ -112,7 +120,7 @@ def check_benches(build_dir, golden_path):
     if extra:
         flag(f"bench output has tags absent from golden file: "
              f"{', '.join(sorted(extra))}")
-    print(f"race_check: {len(seen)} virtual-cycle tags checked "
+    print(f"race_check: {len(seen)} virtual-time tags checked "
           f"against {golden_path}")
 
 
