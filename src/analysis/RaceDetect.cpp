@@ -198,8 +198,45 @@ void RaceDetector::onTraceEvent(const TraceEvent &E) {
   case TraceEventKind::CellWrite:
     access(E, /*Write=*/true);
     break;
-  default:
-    break; // lifecycle/GC/idle/fault events carry no SP edges
+  case TraceEventKind::TaskBlock:
+  case TraceEventKind::TaskFinish:
+  case TraceEventKind::TaskStopped:
+  case TraceEventKind::TaskParked:
+  case TraceEventKind::TaskDropped:
+  case TraceEventKind::TouchBlock:
+    break; // The edge out of a block or finish is joined at the matching
+           // TaskResume, FutureResolve or TouchHit.
+  case TraceEventKind::StealAttempt:
+  case TraceEventKind::IdleBegin:
+  case TraceEventKind::IdleEnd:
+    break; // A steal moves a task already ordered by its TaskCreate or
+           // SeamSteal; an idle processor runs no task.
+  case TraceEventKind::GcBegin:
+  case TraceEventKind::GcEnd:
+    break; // A pause moves objects, never a value a task reads.
+  case TraceEventKind::FaultInjected:
+  case TraceEventKind::ThresholdChange:
+  case TraceEventKind::PolicyDecision:
+  case TraceEventKind::ByzantineDetected:
+    break; // Bookkeeping around a fork or resolve whose own event
+           // carries the edge.
+  case TraceEventKind::ProcKilled:
+  case TraceEventKind::TaskRecovered:
+  case TraceEventKind::TaskRestored:
+  case TraceEventKind::TaskOrphaned:
+  case TraceEventKind::CheckpointTaken:
+    break; // A recovered or restored task keeps its id and vector clock,
+           // and its next TaskStart names the survivor it runs on; a
+           // checkpoint is a capture inside the running task.
+  case TraceEventKind::GroupQuotaStop:
+  case TraceEventKind::GroupBudgetStop:
+  case TraceEventKind::GroupShed:
+  case TraceEventKind::GroupQueued:
+  case TraceEventKind::GroupAdmitted:
+  case TraceEventKind::SupervisorRestart:
+  case TraceEventKind::SupervisorGaveUp:
+    break; // Tenant control parks, drops or re-queues whole tasks; their
+           // TaskCreate already ordered them.
   }
 }
 

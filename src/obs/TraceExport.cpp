@@ -123,8 +123,44 @@ public:
         IdleInterrupted = false;
       }
       break;
-    default:
-      break;
+    case TraceEventKind::TaskCreate:
+    case TraceEventKind::TaskResume:
+    case TraceEventKind::TaskParked:
+    case TraceEventKind::TaskDropped:
+    case TraceEventKind::FutureCreate:
+    case TraceEventKind::FutureResolve:
+    case TraceEventKind::TouchHit:
+    case TraceEventKind::TouchBlock:
+    case TraceEventKind::StealAttempt:
+    case TraceEventKind::InlineDecision:
+    case TraceEventKind::SeamSteal:
+    case TraceEventKind::CellRead:
+    case TraceEventKind::CellWrite:
+    case TraceEventKind::SemAcquire:
+    case TraceEventKind::SemRelease:
+      break; // Task, future, scheduling and memory points: no slice
+             // boundary (a TouchBlock is followed by the TaskBlock that
+             // closes the slice).
+    case TraceEventKind::FaultInjected:
+    case TraceEventKind::ProcKilled:
+    case TraceEventKind::TaskRecovered:
+    case TraceEventKind::TaskOrphaned:
+    case TraceEventKind::CheckpointTaken:
+    case TraceEventKind::TaskRestored:
+    case TraceEventKind::ByzantineDetected:
+      break; // Fault and recovery points: instants, no slice boundary.
+    case TraceEventKind::ThresholdChange:
+    case TraceEventKind::PolicyDecision:
+      break; // Policy choices: instants, no slice boundary.
+    case TraceEventKind::GroupQuotaStop:
+    case TraceEventKind::GroupBudgetStop:
+    case TraceEventKind::GroupShed:
+    case TraceEventKind::GroupQueued:
+    case TraceEventKind::GroupAdmitted:
+    case TraceEventKind::SupervisorRestart:
+    case TraceEventKind::SupervisorGaveUp:
+      break; // Tenant control: a stopped task's own TaskStopped closes
+             // its slice.
     }
   }
 
@@ -176,10 +212,47 @@ bool isInstantKind(TraceEventKind K) {
   case TraceEventKind::IdleEnd:
   case TraceEventKind::GcBegin:
   case TraceEventKind::GcEnd:
-    return false;
-  default:
-    return true;
+    return false; // Slice openings and the idle/GC boundaries.
+  case TraceEventKind::TaskBlock:
+  case TraceEventKind::TaskFinish:
+  case TraceEventKind::TaskStopped:
+    return true; // Close a task slice and still mark why it ended.
+  case TraceEventKind::TaskCreate:
+  case TraceEventKind::TaskResume:
+  case TraceEventKind::TaskParked:
+  case TraceEventKind::TaskDropped:
+  case TraceEventKind::FutureCreate:
+  case TraceEventKind::FutureResolve:
+  case TraceEventKind::TouchHit:
+  case TraceEventKind::TouchBlock:
+  case TraceEventKind::StealAttempt:
+  case TraceEventKind::InlineDecision:
+  case TraceEventKind::SeamSteal:
+  case TraceEventKind::CellRead:
+  case TraceEventKind::CellWrite:
+  case TraceEventKind::SemAcquire:
+  case TraceEventKind::SemRelease:
+    return true; // Task, future, scheduling and memory points.
+  case TraceEventKind::FaultInjected:
+  case TraceEventKind::ProcKilled:
+  case TraceEventKind::TaskRecovered:
+  case TraceEventKind::TaskOrphaned:
+  case TraceEventKind::CheckpointTaken:
+  case TraceEventKind::TaskRestored:
+  case TraceEventKind::ByzantineDetected:
+  case TraceEventKind::ThresholdChange:
+  case TraceEventKind::PolicyDecision:
+    return true; // Fault, recovery and policy points.
+  case TraceEventKind::GroupQuotaStop:
+  case TraceEventKind::GroupBudgetStop:
+  case TraceEventKind::GroupShed:
+  case TraceEventKind::GroupQueued:
+  case TraceEventKind::GroupAdmitted:
+  case TraceEventKind::SupervisorRestart:
+  case TraceEventKind::SupervisorGaveUp:
+    return true; // Tenant control points.
   }
+  return true;
 }
 
 } // namespace

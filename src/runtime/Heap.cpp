@@ -10,6 +10,9 @@
 
 #include <cassert>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace mult;
 
@@ -18,12 +21,20 @@ Heap::Heap(const Config &C) : Cfg(C) {
   assert(Cfg.LargeObjectWords <= Cfg.ChunkWords &&
          "large-object threshold must fit a chunk");
   assert(Cfg.NumAllocators >= 1 && "need at least one allocator");
-  Buffer = std::make_unique<uint64_t[]>(Cfg.SemispaceWords * 2);
+  size_t Bytes = Cfg.SemispaceWords * 2 * sizeof(uint64_t);
+  void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  Buffer = std::unique_ptr<uint64_t[], Unmap>(static_cast<uint64_t *>(P),
+                                              Unmap{Bytes});
   Spaces[0] = Buffer.get();
   Spaces[1] = Buffer.get() + Cfg.SemispaceWords;
   Chunks.resize(Cfg.NumAllocators);
   GcChunks.resize(Cfg.NumAllocators);
 }
+
+void Heap::Unmap::operator()(uint64_t *P) const { munmap(P, Bytes); }
 
 bool Heap::refillChunk(ChunkState &Chunk, int SpaceIdx, size_t &GlobalCursor) {
   (void)SpaceIdx;
@@ -179,7 +190,10 @@ void Heap::endCollection() {
   Collecting = false;
 #ifndef NDEBUG
   // Poison the from-space so stale pointers fault fast in debug builds.
-  std::memset(Spaces[ActiveSpace], 0xAB, Cfg.SemispaceWords * 8);
+  // Every from-space object, chunked or large, lies below GlobalFree;
+  // the words above it were never handed out, and leaving them alone
+  // keeps their pages uncommitted.
+  std::memset(Spaces[ActiveSpace], 0xAB, GlobalFree * sizeof(uint64_t));
 #endif
   ActiveSpace = 1 - ActiveSpace;
   // Survivors sit below GcGlobalFree, except that GC chunks may have

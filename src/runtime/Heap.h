@@ -144,8 +144,17 @@ private:
     return reinterpret_cast<Object *>(Spaces[SpaceIdx] + WordIndex);
   }
 
+  /// Releases the semispace mapping (both spaces, one munmap).
+  struct Unmap {
+    size_t Bytes;
+    void operator()(uint64_t *P) const;
+  };
+
   Config Cfg;
-  std::unique_ptr<uint64_t[]> Buffer;
+  /// Both semispaces as one anonymous private mapping. The OS zero-fills a
+  /// page when it is first touched, so a fresh Engine makes resident only
+  /// the heap it actually uses.
+  std::unique_ptr<uint64_t[], Unmap> Buffer;
   uint64_t *Spaces[2];
   int ActiveSpace = 0;
   size_t GlobalFree = 0;   ///< Bump cursor in the active space.

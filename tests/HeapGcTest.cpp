@@ -13,6 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#ifdef __linux__
+#include <unistd.h>
+#endif
+
 using namespace mult;
 using namespace mult::testutil;
 
@@ -95,6 +101,72 @@ TEST(HeapTest, StaticAreaSegmentsCoverEverything) {
     Total += E - B;
   }
   EXPECT_EQ(Total, H.staticAreaSize());
+}
+
+TEST(HeapTest, FlipPoisonsOnlyTheUsedFromSpace) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "from-space poisoning is a debug-build check";
+#else
+  // A chunked pair at word 0 and a large object after its chunk: both lie
+  // below the allocation mark, so a stale pointer to either reads poison
+  // after the flip. The words above the mark were never handed out and
+  // stay untouched (zero).
+  Heap H(smallHeap());
+  Object *Pair = H.allocate(0, 0, TypeTag::Pair, 2).Obj;
+  Object *Big = H.allocate(0, 0, TypeTag::Vector, 100).Obj;
+  ASSERT_NE(Pair, nullptr);
+  ASSERT_NE(Big, nullptr);
+  ASSERT_EQ(H.debugSpaceOf(Pair), 0);
+  ASSERT_EQ(H.debugSpaceOf(Big), 0);
+  size_t Mark = H.usedWords();
+  ASSERT_LT(Mark, H.capacityWords());
+  ASSERT_TRUE(H.beginCollection());
+  H.endCollection();
+
+  const auto *FromSpace = reinterpret_cast<const uint64_t *>(Pair);
+  constexpr uint64_t Poison = 0xABABABABABABABABull;
+  EXPECT_EQ(FromSpace[0], Poison) << "stale chunked object not poisoned";
+  EXPECT_EQ(reinterpret_cast<const uint64_t *>(Big)[0], Poison)
+      << "stale large object not poisoned";
+  EXPECT_EQ(FromSpace[Mark - 1], Poison);
+  EXPECT_EQ(FromSpace[Mark], 0u) << "poison ran past the allocation mark";
+  EXPECT_EQ(FromSpace[H.capacityWords() - 1], 0u);
+#endif
+}
+
+#ifdef __linux__
+namespace {
+/// Resident set size of this process, in bytes.
+size_t residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  size_t Pages = 0, Resident = 0;
+  Statm >> Pages >> Resident;
+  return Resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+} // namespace
+#endif
+
+TEST(HeapTest, EngineConstructionCommitsNoSemispacePage) {
+#ifndef __linux__
+  GTEST_SKIP() << "reads the resident set from /proc/self/statm";
+#else
+  // 2 x 2^24 words = 256 MiB of semispace. The pages are committed on
+  // first touch, so building the Engine (prelude included) makes resident
+  // only the little heap it uses, and destroying it returns that.
+  constexpr size_t Slack = size_t(16) << 20;
+  size_t Before = residentBytes();
+  ASSERT_GT(Before, 0u);
+  {
+    EngineConfig C = config(1);
+    C.HeapWords = size_t(1) << 24;
+    Engine E(C);
+    EXPECT_LT(residentBytes(), Before + Slack)
+        << "Engine construction wrote semispace pages";
+    EXPECT_EQ(evalFixnum(E, "(+ 40 2)"), 42);
+  }
+  EXPECT_LT(residentBytes(), Before + Slack)
+      << "destroying the Engine kept its pages resident";
+#endif
 }
 
 //===----------------------------------------------------------------------===//
