@@ -155,14 +155,6 @@ inline void reportRun(Engine &E, const std::string &Tag) {
                   static_cast<unsigned long long>(E.stats().TasksOrphaned));
       std::printf(";; fault-metrics: %s recovery-cycles %llu\n", Tag.c_str(),
                   static_cast<unsigned long long>(E.stats().RecoveryCycles));
-      std::printf(";; fault-metrics: %s byzantine-lies %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().ByzantineLies));
-      std::printf(";; fault-metrics: %s cross-checks %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().CrossChecks));
-      std::printf(";; fault-metrics: %s byzantine-detected %llu\n",
-                  Tag.c_str(),
-                  static_cast<unsigned long long>(
-                      E.stats().ByzantineDetected));
       // Checkpoint counters only exist when the policy is armed; keep
       // faulted-but-uncheckpointed outputs structurally unchanged.
       if (E.config().CheckpointEvery) {

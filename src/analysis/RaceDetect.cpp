@@ -217,7 +217,6 @@ void RaceDetector::onTraceEvent(const TraceEvent &E) {
   case TraceEventKind::FaultInjected:
   case TraceEventKind::ThresholdChange:
   case TraceEventKind::PolicyDecision:
-  case TraceEventKind::ByzantineDetected:
     break; // Bookkeeping around a fork or resolve whose own event
            // carries the edge.
   case TraceEventKind::ProcKilled:

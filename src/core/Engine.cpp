@@ -1715,76 +1715,6 @@ void Engine::maybeCheckpoint(Processor &P, Task &T) {
                      Cost, R.Epoch);
 }
 
-bool Engine::checkByzantineReturn(Processor &P, Task &T) {
-  bool ChecksArmed = Injector.crossChecksArmed();
-  if (!P.Lying && !ChecksArmed)
-    return false;
-  if (T.Stack.empty())
-    return false;
-  Value &Result = T.Stack.back();
-  // A lie only corrupts fixnum results (a corrupted pointer would crash
-  // the simulator host, not model a wrong answer); the fault stays armed
-  // until a fixnum-returning finish comes along.
-  bool Lie = P.Lying && Result.isFixnum();
-  // The draw is consumed on every armed finishing return, whether or not
-  // a lie is pending, so the cross-check schedule is independent of the
-  // lie schedule (and bit-deterministic under a fixed seed).
-  bool Check = ChecksArmed && Injector.shouldCrossCheck();
-
-  constexpr int64_t kLieXor = 0x2a;
-  if (Lie && !Check) {
-    // Undetected: the corrupted value propagates (and poisons whatever
-    // consumed the future) exactly as a silently faulty processor would.
-    Result = Value::fixnum(Result.asFixnum() ^ kLieXor);
-    P.Lying = false;
-    ++Stats.ByzantineLies;
-    noteFault(P, FaultKind::ProcLie, P.Id);
-    return false;
-  }
-  if (!Check)
-    return false;
-
-  // Cross-check: seed-deterministically re-execute the task on a
-  // different live processor and compare. The checker is charged the
-  // task's full busy history plus a fixed dispatch cost (BusyCyclesTotal
-  // slightly undercounts the final partial quantum; deterministic, and
-  // documented in DESIGN.md).
-  unsigned CheckerId = P.Id;
-  for (unsigned Off = 1; Off < TheMachine.numProcessors(); ++Off) {
-    unsigned C = (P.Id + Off) % TheMachine.numProcessors();
-    if (!TheMachine.processor(C).Dead) {
-      CheckerId = C;
-      break;
-    }
-  }
-  Processor &Checker = TheMachine.processor(CheckerId);
-  ++Stats.CrossChecks;
-  Checker.charge(cost::CrossCheckBase + T.BusyCyclesTotal);
-  if (!Lie)
-    return false;
-
-  // Caught: the lying processor reported the corrupted value, the checker
-  // recomputed the honest one. Stop the group restartably with both
-  // values in the condition; the lie is disarmed, so resume re-runs the
-  // return and resolves the future honestly.
-  int64_t Honest = Result.asFixnum();
-  int64_t Reported = Honest ^ kLieXor;
-  P.Lying = false;
-  ++Stats.ByzantineLies;
-  ++Stats.ByzantineDetected;
-  noteFault(P, FaultKind::ProcLie, P.Id);
-  if (TheTracer.enabled())
-    TheTracer.record(TraceEventKind::ByzantineDetected, P.Id, P.Clock, T.Id,
-                     P.Id, uint64_t(Honest));
-  stopGroupRestartable(
-      P, T,
-      strFormat("byzantine-detected: processor %u returned %lld for task %u; "
-                "cross-check on processor %u recomputed %lld",
-                P.Id, static_cast<long long>(Reported), taskIndex(T.Id),
-                Checker.Id, static_cast<long long>(Honest)));
-  return true;
-}
-
 std::string Engine::describeWaitGraph() {
   // Reconstruct the task -> future -> computing-task wait-for graph from
   // scheduler state. An unresolved future's FutTaskId slot still holds

@@ -566,15 +566,6 @@ public:
   /// \p P and to EngineStats::CheckpointCycles.
   void maybeCheckpoint(Processor &P, Task &T);
 
-  /// Byzantine-fault hook for a task-finishing Op::Return: called with
-  /// the result still on top of \p T's stack, before any state changes.
-  /// May corrupt the result in place (a proc-lie firing unobserved), or
-  /// catch the lie via a sampled cross-check re-execution and stop the
-  /// group restartably with a `byzantine-detected` condition. Returns
-  /// true when the group stopped (the caller must not commit the
-  /// return); false to proceed with whatever is now on the stack.
-  bool checkByzantineReturn(Processor &P, Task &T);
-
 private:
   /// Loads the Lisp prelude and installs closure wrappers for primitives
   /// so primitive names work as first-class values.

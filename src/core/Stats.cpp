@@ -47,9 +47,6 @@ void dumpStats(OutStream &OS, const EngineStats &S) {
        << S.CheckpointCycles << " cycles), " << S.TasksRestored
        << " tasks restored, max task recovery " << S.MaxTaskRecoveryCycles
        << " cycles\n";
-  if (S.ByzantineLies || S.CrossChecks || S.ByzantineDetected)
-    OS << "byzantine: " << S.ByzantineLies << " lies told, " << S.CrossChecks
-       << " cross-checks, " << S.ByzantineDetected << " detected\n";
   OS << strFormat("last run: %llu cycles = %.4f virtual seconds\n",
                   static_cast<unsigned long long>(S.ElapsedCycles),
                   S.elapsedSeconds());

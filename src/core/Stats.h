@@ -99,11 +99,6 @@ struct EngineStats {
   uint64_t GroupsQueued = 0;   ///< launches parked in the admission queue
   uint64_t GroupsRejected = 0; ///< launches shed at the gate
 
-  // Byzantine faults (proc-lie / cross-check clauses; zero unless armed).
-  uint64_t ByzantineLies = 0;     ///< corrupted finishing resolves
-  uint64_t CrossChecks = 0;       ///< sampled re-executions performed
-  uint64_t ByzantineDetected = 0; ///< cross-check mismatches (group stops)
-
   // Execution.
   uint64_t Instructions = 0;   ///< bytecode instructions executed
   uint64_t CyclesExecuted = 0; ///< virtual NS32332 instructions charged

@@ -45,7 +45,6 @@ void Task::initForThunk(TaskId NewId, GroupId G, Value Closure, Value Result,
   DidIo = false;
   SideEffectEpoch = 0;
   SinceCheckpoint = 0;
-  BusyCyclesTotal = 0;
   RecoveryBudget = ~uint64_t(0);
   RecoveryCharged = 0;
   BlockClock = 0;
@@ -77,7 +76,6 @@ void Task::clearForRecycle() {
   Recovered = false;
   SideEffectEpoch = 0;
   SinceCheckpoint = 0;
-  BusyCyclesTotal = 0;
   RecoveryBudget = ~uint64_t(0);
   RecoveryCharged = 0;
   CreateClock = 0;

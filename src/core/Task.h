@@ -146,10 +146,6 @@ public:
   /// re-execution budget of a restore.
   uint64_t SinceCheckpoint = 0;
 
-  /// Lifetime busy cycles of this activation; what a byzantine
-  /// cross-check charges its checker for re-executing the task.
-  uint64_t BusyCyclesTotal = 0;
-
   /// Re-execution budget of a recovered task: busy cycles still
   /// chargeable to EngineStats::RecoveryCycles before the task is
   /// considered caught up. ~0 for lineage re-spawns (the whole re-run is

@@ -38,8 +38,6 @@ const char *faultKindName(FaultKind K) {
     return "proc-kill";
   case FaultKind::SeamSplitFail:
     return "seam-split-fail";
-  case FaultKind::ProcLie:
-    return "proc-lie";
   case FaultKind::QuotaSqueeze:
     return "quota-squeeze";
   case FaultKind::AdmitBurst:
@@ -53,7 +51,6 @@ bool FaultPlan::empty() const {
          SpawnErrorAt.empty() && TouchErrorAt.empty() && StealFailProb == 0.0 &&
          StealFailAt.empty() && !QueueCap && Stalls.empty() &&
          AdaptClamps.empty() && AdaptResetAt.empty() && ProcKills.empty() &&
-         ProcLies.empty() && CrossCheckProb < 0.0 &&
          SeamSplitFailAt.empty() && QuotaSqueezes.empty() &&
          AdmitBursts.empty();
 }
@@ -252,18 +249,6 @@ std::string FaultPlan::format() const {
     }
     Clause("proc-kill=" + L);
   }
-  if (!ProcLies.empty()) {
-    std::string L;
-    for (size_t I = 0; I < ProcLies.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu", ProcLies[I].Proc,
-                     (unsigned long long)ProcLies[I].AtCycles);
-    }
-    Clause("proc-lie=" + L);
-  }
-  if (CrossCheckProb >= 0.0)
-    Clause("cross-check=" + formatProb(CrossCheckProb));
   if (!SeamSplitFailAt.empty())
     Clause("seam-split-fail=" + joinList(SeamSplitFailAt));
   if (!QuotaSqueezes.empty()) {
@@ -366,16 +351,6 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
         }
         Out.ProcKills.push_back(K);
       }
-    } else if (Key == "proc-lie") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
-        ProcKillAt L;
-        if (!parseProcKill(trim(Part), L)) {
-          Ok = false;
-          break;
-        }
-        Out.ProcLies.push_back(L);
-      }
     } else if (Key == "quota-squeeze") {
       Ok = !Val.empty();
       for (std::string_view Part : splitOn(Val, ',')) {
@@ -396,8 +371,6 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
         }
         Out.AdmitBursts.push_back(B);
       }
-    } else if (Key == "cross-check") {
-      Ok = parseProb(Val, Out.CrossCheckProb);
     } else if (Key == "seam-split-fail") {
       Ok = parseU64List(Val, Out.SeamSplitFailAt);
       Ok = Ok && std::find(Out.SeamSplitFailAt.begin(),
@@ -429,10 +402,6 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
                      return A.Window < B.Window;
                    });
   std::stable_sort(Out.ProcKills.begin(), Out.ProcKills.end(),
-                   [](const ProcKillAt &A, const ProcKillAt &B) {
-                     return A.AtCycles < B.AtCycles;
-                   });
-  std::stable_sort(Out.ProcLies.begin(), Out.ProcLies.end(),
                    [](const ProcKillAt &A, const ProcKillAt &B) {
                      return A.AtCycles < B.AtCycles;
                    });

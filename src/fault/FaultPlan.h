@@ -53,21 +53,6 @@
 ///                            inside a collection fires mid-GC: the
 ///                            victim dies between its root-scan and copy
 ///                            phases and survivors inherit its copy work
-///   proc-lie=P@C[,P@C...]    byzantine fault: once the run clock
-///                            reaches C, processor P corrupts the next
-///                            future value it resolves at a
-///                            task-finishing return (fixnum results
-///                            only). Detected by cross-check
-///                            re-execution (below); an unchecked lie
-///                            propagates to every toucher
-///   cross-check=P            each task-finishing future resolve is
-///                            re-executed on a different processor with
-///                            probability P (seed-deterministic, charged
-///                            in virtual time). Defaults to 0.25 when a
-///                            proc-lie clause is present, 0 otherwise.
-///                            A mismatch stops the group restartably
-///                            with a `byzantine-detected` condition
-///                            carrying both values and the liar
 ///   seam-split-fail=N[,N...] fail the Nth lazy-future seam-split
 ///                            attempt (1-based): the thief backs off and
 ///                            the seam stays with its owner, who later
@@ -111,7 +96,6 @@ enum class FaultKind : uint8_t {
   AdaptReset, ///< adaptive controller window samples discarded
   ProcKill,   ///< fail-stop processor crash at a virtual-time mark
   SeamSplitFail, ///< forced lazy-future seam-split failure
-  ProcLie,    ///< byzantine corruption of a resolved future value
   QuotaSqueeze, ///< group heap quota clamped at a virtual-time mark
   AdmitBurst,   ///< synthetic launch burst through the admission gate
 };
@@ -155,14 +139,6 @@ struct FaultPlan {
     uint64_t AtCycles = 0; ///< run-relative cycle the fail-stop fires
   };
   std::vector<ProcKillAt> ProcKills; ///< sorted by AtCycles
-
-  /// Byzantine marks: once the run clock passes AtCycles, processor Proc
-  /// corrupts the next future value it resolves (same shape as ProcKills).
-  std::vector<ProcKillAt> ProcLies; ///< sorted by AtCycles
-
-  /// Cross-check sampling probability for task-finishing future resolves.
-  /// Negative = unset: defaults to 0.25 when ProcLies is non-empty, else 0.
-  double CrossCheckProb = -1.0;
 
   std::vector<uint64_t> SeamSplitFailAt; ///< sorted 1-based split ordinals
 

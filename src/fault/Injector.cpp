@@ -13,10 +13,9 @@ void FaultInjector::configure(const FaultPlan &P) {
   Plan = P;
   Armed = false;
   Rng = Prng(Plan.Seed);
-  LieRng = Prng(Plan.Seed ^ kLieStream);
   AllocN = SpawnN = TouchN = StealN = SeamSplitN = 0;
   AllocIdx = GcIdx = SpawnIdx = TouchIdx = StealIdx = SeamSplitIdx = 0;
-  AdaptClampIdx = AdaptResetIdx = ProcKillIdx = ProcLieIdx = 0;
+  AdaptClampIdx = AdaptResetIdx = ProcKillIdx = 0;
   QuotaSqueezeIdx = AdmitBurstIdx = 0;
   StallDone.assign(Plan.Stalls.size(), false);
   PendingInjectedAllocFail = false;
@@ -141,24 +140,6 @@ bool FaultInjector::takeProcKill(uint64_t RelClock, unsigned &ProcOut,
   AtOut = Plan.ProcKills[ProcKillIdx].AtCycles;
   ++ProcKillIdx;
   return true;
-}
-
-bool FaultInjector::takeProcLie(uint64_t RelClock, unsigned &ProcOut,
-                                uint64_t &AtOut) {
-  if (!Armed || ProcLieIdx >= Plan.ProcLies.size() ||
-      Plan.ProcLies[ProcLieIdx].AtCycles > RelClock)
-    return false;
-  ProcOut = Plan.ProcLies[ProcLieIdx].Proc;
-  AtOut = Plan.ProcLies[ProcLieIdx].AtCycles;
-  ++ProcLieIdx;
-  return true;
-}
-
-bool FaultInjector::shouldCrossCheck() {
-  if (!crossChecksArmed())
-    return false;
-  double Draw = double(LieRng.next() >> 11) * 0x1.0p-53;
-  return Draw < crossCheckProb();
 }
 
 bool FaultInjector::shouldFailSeamSplit() {

@@ -83,27 +83,6 @@ public:
   /// consecutive polls.
   bool takeProcKill(uint64_t RelClock, unsigned &ProcOut, uint64_t &AtOut);
 
-  /// Like takeProcKill, but for proc-lie (byzantine) marks: consumes at
-  /// most one due mark per call and names the processor that will
-  /// corrupt its next finishing future resolve.
-  bool takeProcLie(uint64_t RelClock, unsigned &ProcOut, uint64_t &AtOut);
-
-  /// Effective cross-check sampling probability: the plan's explicit
-  /// value, or 0.25 when proc-lie clauses are present and none was given.
-  double crossCheckProb() const {
-    if (Plan.CrossCheckProb >= 0.0)
-      return Plan.CrossCheckProb;
-    return Plan.ProcLies.empty() ? 0.0 : 0.25;
-  }
-
-  /// True when cross-check sampling can ever fire.
-  bool crossChecksArmed() const { return Armed && crossCheckProb() > 0.0; }
-
-  /// One seed-deterministic draw against crossCheckProb(). Uses a
-  /// dedicated PRNG stream so cross-check draws never perturb the
-  /// steal-fail stream (and vice versa).
-  bool shouldCrossCheck();
-
   /// True when the current lazy-future seam-split attempt must fail.
   bool shouldFailSeamSplit();
 
@@ -123,11 +102,6 @@ private:
   FaultPlan Plan;
   bool Armed = false;
   Prng Rng;
-  Prng LieRng{FaultPlan().Seed ^ kLieStream};
-
-  /// Stream separator for LieRng so the two PRNGs seeded from the same
-  /// plan seed stay decorrelated.
-  static constexpr uint64_t kLieStream = 0x6c69652d73747265ull;
 
   uint64_t AllocN = 0;
   uint64_t SpawnN = 0;
@@ -141,7 +115,6 @@ private:
   size_t StealIdx = 0;
   size_t SeamSplitIdx = 0;
   size_t ProcKillIdx = 0; ///< next unconsumed entry of Plan.ProcKills
-  size_t ProcLieIdx = 0;  ///< next unconsumed entry of Plan.ProcLies
   size_t AdaptClampIdx = 0; ///< next unconsumed entry of Plan.AdaptClamps
   size_t AdaptResetIdx = 0; ///< next unconsumed entry of Plan.AdaptResetAt
   size_t QuotaSqueezeIdx = 0; ///< next unconsumed entry of Plan.QuotaSqueezes

@@ -76,9 +76,41 @@ int sortRank(TraceEventKind K) {
   case TraceEventKind::SeamSteal:
   case TraceEventKind::TaskFinish:
     return 0;
-  default:
+  case TraceEventKind::TaskStart:
+  case TraceEventKind::TaskBlock:
+  case TraceEventKind::TaskStopped:
+  case TraceEventKind::TaskParked:
+  case TraceEventKind::TaskDropped:
+  case TraceEventKind::TouchHit:
+  case TraceEventKind::TouchBlock:
+  case TraceEventKind::StealAttempt:
+  case TraceEventKind::InlineDecision:
+  case TraceEventKind::GcBegin:
+  case TraceEventKind::GcEnd:
+  case TraceEventKind::IdleBegin:
+  case TraceEventKind::IdleEnd:
+  case TraceEventKind::FaultInjected:
+  case TraceEventKind::ThresholdChange:
+  case TraceEventKind::PolicyDecision:
+  case TraceEventKind::ProcKilled:
+  case TraceEventKind::TaskRecovered:
+  case TraceEventKind::TaskOrphaned:
+  case TraceEventKind::CellRead:
+  case TraceEventKind::CellWrite:
+  case TraceEventKind::SemAcquire:
+  case TraceEventKind::SemRelease:
+  case TraceEventKind::CheckpointTaken:
+  case TraceEventKind::TaskRestored:
+  case TraceEventKind::GroupQuotaStop:
+  case TraceEventKind::GroupBudgetStop:
+  case TraceEventKind::SupervisorRestart:
+  case TraceEventKind::SupervisorGaveUp:
+  case TraceEventKind::GroupShed:
+  case TraceEventKind::GroupQueued:
+  case TraceEventKind::GroupAdmitted:
     return 1;
   }
+  return 1;
 }
 
 } // namespace
@@ -293,8 +325,6 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
     case TraceEventKind::TaskRestored:
       break; // Like TaskRecovered: the task's next TaskStart opens its
              // segment from the ReadyPath it already has.
-    case TraceEventKind::ByzantineDetected:
-      break; // The cross-check re-execution is charged inside the segment.
     case TraceEventKind::GroupQuotaStop:
     case TraceEventKind::GroupBudgetStop:
       break; // The stopped member's own TaskStopped closes its segment.

@@ -66,9 +66,6 @@ MetricsReport mult::buildMetrics(const Machine &M, const EngineStats &S,
   R.MaxTaskRecoveryCycles = S.MaxTaskRecoveryCycles;
   R.CheckpointEvery = CheckpointEvery;
   R.QuantumCycles = M.quantum();
-  R.ByzantineLies = S.ByzantineLies;
-  R.CrossChecks = S.CrossChecks;
-  R.ByzantineDetected = S.ByzantineDetected;
   R.QuotaStops = S.QuotaStops;
   R.BudgetStops = S.BudgetStops;
   R.QuotaGraceGcs = S.QuotaGraceGcs;
@@ -232,12 +229,6 @@ void mult::dumpMetrics(OutStream &OS, const MetricsReport &R) {
                     static_cast<unsigned long long>(R.QuantumCycles),
                     R.MaxTaskRecoveryCycles <= Bound ? "OK" : "VIOLATED");
   }
-  if (R.ByzantineLies || R.CrossChecks || R.ByzantineDetected)
-    OS << strFormat("byzantine: %llu lies told, %llu cross-checks, "
-                    "%llu detected\n",
-                    static_cast<unsigned long long>(R.ByzantineLies),
-                    static_cast<unsigned long long>(R.CrossChecks),
-                    static_cast<unsigned long long>(R.ByzantineDetected));
   if (R.QuotaStops || R.BudgetStops || R.QuotaGraceGcs || R.GroupsShed)
     OS << strFormat("tenant: %llu quota stops, %llu budget stops, "
                     "%llu grace collections, %llu shed\n",

@@ -107,11 +107,6 @@ struct MetricsReport {
   uint64_t CheckpointEvery = 0;
   uint64_t QuantumCycles = 0;
 
-  // Byzantine faults (all zero unless a proc-lie clause was armed).
-  uint64_t ByzantineLies = 0;
-  uint64_t CrossChecks = 0;
-  uint64_t ByzantineDetected = 0;
-
   // Tenant fault domains (all zero unless the quota/supervision layer
   // was armed; the renderer omits the lines in that case).
   uint64_t QuotaStops = 0;

@@ -298,7 +298,6 @@ const char *mult::traceEventKindName(TraceEventKind K) {
   case TraceEventKind::SemRelease: return "sem-release";
   case TraceEventKind::CheckpointTaken: return "checkpoint-taken";
   case TraceEventKind::TaskRestored: return "task-restored";
-  case TraceEventKind::ByzantineDetected: return "byzantine-detected";
   case TraceEventKind::GroupQuotaStop: return "group-quota-stop";
   case TraceEventKind::GroupBudgetStop: return "group-budget-stop";
   case TraceEventKind::SupervisorRestart: return "supervisor-restart";

@@ -126,9 +126,6 @@ enum class TraceEventKind : uint8_t {
   TaskRestored,   ///< A lost task was resumed from its newest checkpoint
                   ///< instead of re-spawned. A = task id, B = new home
                   ///< processor, C = dead processor it was lost from.
-  ByzantineDetected, ///< A cross-check re-execution caught a corrupted
-                  ///< future value. A = task id, B = lying processor,
-                  ///< C = the honest (recomputed) value as a raw fixnum.
   GroupQuotaStop, ///< A group tripped its live-words heap quota. A =
                   ///< group id, B = account words, C = quota words.
   GroupBudgetStop,///< A group tripped its busy-cycle budget. A = group

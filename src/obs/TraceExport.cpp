@@ -147,7 +147,6 @@ public:
     case TraceEventKind::TaskOrphaned:
     case TraceEventKind::CheckpointTaken:
     case TraceEventKind::TaskRestored:
-    case TraceEventKind::ByzantineDetected:
       break; // Fault and recovery points: instants, no slice boundary.
     case TraceEventKind::ThresholdChange:
     case TraceEventKind::PolicyDecision:
@@ -239,7 +238,6 @@ bool isInstantKind(TraceEventKind K) {
   case TraceEventKind::TaskOrphaned:
   case TraceEventKind::CheckpointTaken:
   case TraceEventKind::TaskRestored:
-  case TraceEventKind::ByzantineDetected:
   case TraceEventKind::ThresholdChange:
   case TraceEventKind::PolicyDecision:
     return true; // Fault, recovery and policy points.

@@ -340,17 +340,6 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
         }
         continue;
       }
-      // Byzantine fault: arm the processor to corrupt the next future
-      // value it resolves at a task-finishing return. Marks aimed at
-      // dead or bogus processors are consumed with no effect (a lie from
-      // a dead processor reaches nobody).
-      unsigned Liar;
-      uint64_t LieMark;
-      if (E.faults().takeProcLie(P.Clock - Start, Liar, LieMark)) {
-        if (Liar < Procs.size() && !Procs[Liar].Dead)
-          Procs[Liar].Lying = true;
-        continue;
-      }
       // Processor stall window: the board drops off the bus for a while.
       // The skipped cycles are idle time, so the clock still tiles.
       uint64_t StallEndRel;
@@ -487,7 +476,6 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       uint64_t BusyBefore = P.BusyCycles;
       StepOutcome Step = interpretTask(E, P, T, P.Clock + Quantum);
       uint64_t BusyDelta = P.BusyCycles - BusyBefore;
-      T.BusyCyclesTotal += BusyDelta;
       T.SinceCheckpoint += BusyDelta;
       if (E.tenantArmed())
         E.chargeGroupCycles(T, BusyDelta);

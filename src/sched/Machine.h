@@ -64,12 +64,6 @@ struct Processor {
   /// (now frozen) clock.
   bool Dead = false;
 
-  /// Armed by a proc-lie fault: the next finishing future value this
-  /// processor resolves is corrupted (byzantine fault). Cleared once the
-  /// lie is told — or caught by a cross-check, so a resume after a
-  /// byzantine-detected stop resolves honestly.
-  bool Lying = false;
-
   /// Checkpoint records captured on this processor (zero unless
   /// EngineConfig::CheckpointEvery is armed; reset by resetStats).
   uint64_t CheckpointsTaken = 0;

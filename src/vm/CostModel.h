@@ -107,15 +107,11 @@ inline constexpr uint64_t IdleTick = 8;
 inline constexpr uint64_t AdaptiveWindow = 0;
 inline constexpr uint64_t TaskFinish = 6;
 
-// Checkpointed recovery and byzantine cross-checks (src/fault, PR 8).
+// Checkpointed recovery (src/fault).
 /// Capturing one checkpoint record: snapshot header + VM registers; the
 /// stack/frame copy is charged on top at 1 cycle per 4 copied words
 /// (same memcpy bandwidth convention as SeamStealBase).
 inline constexpr uint64_t CheckpointBase = 32;
-/// Dispatching one cross-check re-execution to another processor: pick a
-/// checker, hand over the spawn closure, compare the results. The
-/// re-execution itself is charged as the checked task's own busy total.
-inline constexpr uint64_t CrossCheckBase = 48;
 
 // Group/exception machinery.
 inline constexpr uint64_t GroupStop = 60;  ///< handler server task runs

@@ -1,15 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Checkpointed recovery and byzantine-fault detection: a deterministic
-/// virtual-time checkpoint policy (EngineConfig::CheckpointEvery)
-/// snapshots resumable task state so a proc-kill restarts lost futures
-/// from their newest capture instead of from spawn, bounding the
-/// re-executed work to CheckpointEvery + one quantum per task; a
-/// proc-lie clause makes a processor return corrupted future values,
-/// caught by seed-deterministic cross-check re-execution on a different
-/// processor. See DESIGN.md "Checkpointed recovery" and "Byzantine
-/// faults and cross-check detection".
+/// Checkpointed recovery: a deterministic virtual-time checkpoint policy
+/// (EngineConfig::CheckpointEvery) snapshots resumable task state so a
+/// proc-kill restarts lost futures from their newest capture instead of
+/// from spawn, bounding the re-executed work to CheckpointEvery + one
+/// quantum per task. See DESIGN.md "Checkpointed recovery".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,7 +98,6 @@ TEST(CheckpointTest, DormantPolicyLeavesNoFootprint) {
                                E.config().CheckpointEvery));
   EXPECT_EQ(Dump.find("checkpoints:"), std::string::npos) << Dump;
   EXPECT_EQ(Dump.find("recovery-bound:"), std::string::npos) << Dump;
-  EXPECT_EQ(Dump.find("byzantine:"), std::string::npos) << Dump;
 }
 
 TEST(CheckpointTest, MultCheckpointEnvArmsThePolicy) {
@@ -285,85 +280,6 @@ TEST(CheckpointTest, EpochMismatchFallsBackToSpawnReplay) {
   EXPECT_EQ(evalFixnum(E, Philosophers), 400);
   EXPECT_EQ(E.stats().ProcsKilled, 1u);
   checkInvariants(E);
-}
-
-//===----------------------------------------------------------------------===//
-// Byzantine faults
-//===----------------------------------------------------------------------===//
-
-TEST(CheckpointTest, CrossCheckCatchesALyingProcessor) {
-  // cross-check=1: every finishing return is re-executed on another
-  // processor, so the armed lie is caught the moment it fires. The stop
-  // is breakloop-inspectable with both values and the liar's id, and
-  // restartable: resume re-runs the return honestly.
-  EngineConfig C = ckptConfig(4, "proc-lie=1@20000; cross-check=1");
-  Engine E(C);
-  EvalResult R = E.eval(strFormat(WorkersTemplate, 8));
-  ASSERT_EQ(static_cast<int>(R.K),
-            static_cast<int>(EvalResult::Kind::RuntimeError))
-      << "the detection must stop the group";
-  EXPECT_NE(R.Error.find("byzantine-detected"), std::string::npos) << R.Error;
-  EXPECT_NE(R.Error.find("processor 1"), std::string::npos) << R.Error;
-  EXPECT_NE(R.Error.find("cross-check"), std::string::npos) << R.Error;
-  const EngineStats &S = E.stats();
-  EXPECT_EQ(S.ByzantineDetected, 1u);
-  EXPECT_GE(S.CrossChecks, 1u);
-  // Restartable: the corrupt value was never committed, so resuming
-  // resolves the future honestly and the sum is exact.
-  EvalResult After = E.resumeGroup(R.StoppedGroup, Value::falseV());
-  ASSERT_TRUE(After.ok()) << After.Error;
-  EXPECT_EQ(After.Val.asFixnum(), 160000);
-  checkInvariants(E);
-}
-
-TEST(CheckpointTest, DetectionConditionCarriesBothValues) {
-  // The workers all compute 20000, so the condition must name the honest
-  // value and the corrupted one it would have reported.
-  Engine E(ckptConfig(4, "proc-lie=1@20000; cross-check=1"));
-  EvalResult R = E.eval(strFormat(WorkersTemplate, 8));
-  ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.Error.find("recomputed 20000"), std::string::npos) << R.Error;
-  EXPECT_NE(R.Error.find(strFormat("returned %lld", 20000ll ^ 0x2a)),
-            std::string::npos)
-      << R.Error;
-}
-
-TEST(CheckpointTest, UncheckedLieCorruptsTheResult) {
-  // cross-check=0 disables detection outright: the corrupted future value
-  // propagates into the sum, exactly as a silently faulty board would.
-  Engine E(ckptConfig(4, "proc-lie=1@20000; cross-check=0"));
-  int64_t Got = evalFixnum(E, strFormat(WorkersTemplate, 8));
-  EXPECT_NE(Got, 160000) << "the lie must poison the sum";
-  const EngineStats &S = E.stats();
-  EXPECT_EQ(S.ByzantineLies, 1u);
-  EXPECT_EQ(S.ByzantineDetected, 0u);
-  EXPECT_EQ(S.CrossChecks, 0u);
-}
-
-TEST(CheckpointTest, CrossChecksAloneChargeTheCheckerDeterministically) {
-  // Cross-checks without any lie: pure overhead, charged to a different
-  // live processor, and bit-deterministic run to run.
-  auto Run = [](std::string &Out) {
-    Engine E(ckptConfig(4, "cross-check=0.5"));
-    EXPECT_EQ(evalFixnum(E, strFormat(WorkersTemplate, 8)), 160000);
-    EXPECT_GE(E.stats().CrossChecks, 1u);
-    EXPECT_EQ(E.stats().ByzantineLies, 0u);
-    StringOutStream OS(Out);
-    dumpStats(OS, E.stats());
-  };
-  std::string A, B;
-  Run(A);
-  Run(B);
-  EXPECT_EQ(A, B);
-  EXPECT_NE(A.find("byzantine:"), std::string::npos) << A;
-}
-
-TEST(CheckpointTest, LieAimedAtADeadProcessorIsConsumedSilently) {
-  Engine E(ckptConfig(4, "proc-kill=1@10000; proc-lie=1@20000; cross-check=1"));
-  EXPECT_EQ(evalFixnum(E, strFormat(WorkersTemplate, 8)), 160000);
-  EXPECT_EQ(E.stats().ByzantineLies, 0u);
-  EXPECT_EQ(E.stats().ByzantineDetected, 0u);
-  EXPECT_TRUE(E.machine().processor(1).Dead);
 }
 
 //===----------------------------------------------------------------------===//

@@ -114,6 +114,13 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   std::string Err;
   EXPECT_FALSE(FaultPlan::parse("frobnicate=1", P, Err));
   EXPECT_NE(Err.find("unknown fault clause"), std::string::npos) << Err;
+  // Plans written for the retired lying-processor layer are rejected
+  // loudly rather than silently dropped.
+  for (const char *Old : {"proc-lie=1@4000", "cross-check=1"}) {
+    Err.clear();
+    EXPECT_FALSE(FaultPlan::parse(Old, P, Err)) << Old;
+    EXPECT_NE(Err.find("unknown fault clause"), std::string::npos) << Err;
+  }
   EXPECT_FALSE(FaultPlan::parse("alloc-fail=zero", P, Err));
   EXPECT_FALSE(FaultPlan::parse("alloc-fail=0", P, Err))
       << "ordinals are 1-based";

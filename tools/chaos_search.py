@@ -67,9 +67,6 @@ SEED_PLANS = [
     "spawn-error=2; touch-error=5",
     "proc-kill=1@4000",
     "seam-split-fail=1,3",
-    # Byzantine: processor 1 corrupts a finishing resolve; every resolve
-    # is cross-checked, so the lie is caught deterministically.
-    "proc-lie=1@4000; cross-check=1",
     # GC-phase kill: the mark lands a few hundred cycles after a forced
     # collection begins, so the victim dies between its root scan and
     # copy phases and survivors inherit its copy work.
@@ -125,9 +122,6 @@ class Mutator:
             lambda: "adapt-reset=%d" % r.randint(1, 12),
             lambda: "proc-kill=%d@%d" % (r.randint(0, 3),
                                          r.randint(100, 30000)),
-            lambda: "proc-lie=%d@%d" % (r.randint(0, 3),
-                                        r.randint(100, 30000)),
-            lambda: "cross-check=%.2f" % r.uniform(0.0, 1.0),
             self.gc_phase_kill,
             lambda: "seam-split-fail=%s" % ",".join(
                 str(r.randint(1, 30)) for _ in range(r.randint(1, 3))),
@@ -143,8 +137,7 @@ class Mutator:
             return clause
         m = self.rng.choice(nums)
         old = int(m.group())
-        new = max(0 if clause.startswith(("proc-kill", "proc-lie",
-                                          "stall")) else 1,
+        new = max(0 if clause.startswith(("proc-kill", "stall")) else 1,
                   int(old * self.rng.choice([0.5, 0.8, 1.25, 2, 3])) +
                   self.rng.randint(-2, 2))
         return clause[:m.start()] + str(new) + clause[m.end():]
@@ -173,7 +166,7 @@ def coverage_of(outcome_text, stats_text, procs_text):
     keys = set()
     for marker in ("processor-lost", "injected-fault", "deadlock",
                    "heap exhausted", "cycle-budget-exhausted",
-                   "wait cycle", "exception", "byzantine-detected",
+                   "wait cycle", "exception",
                    "group-heap-quota", "group-cycle-budget",
                    "supervisor-gave-up", "group-shed", "admission-rejected"):
         if marker in outcome_text:
@@ -196,13 +189,6 @@ def coverage_of(outcome_text, stats_text, procs_text):
         taken, restored = (int(g) for g in m.groups())
         keys.add("checkpoint:taken=" + ("yes" if taken else "no"))
         keys.add("checkpoint:restored=" + ("yes" if restored else "no"))
-    m = re.search(r"byzantine: (\d+) lies told, (\d+) cross-checks,"
-                  r" (\d+) detected", stats_text)
-    if m:
-        lies, checks, detected = (int(g) for g in m.groups())
-        keys.add("byzantine:lies=" + ("yes" if lies else "no"))
-        keys.add("byzantine:checks=" + ("yes" if checks else "no"))
-        keys.add("byzantine:detected=" + ("yes" if detected else "no"))
     m = re.search(r"tenant: (\d+) quota stops, (\d+) budget stops,"
                   r" (\d+) grace collections, (\d+) shed", stats_text)
     if m:
