@@ -104,9 +104,7 @@ inline void reportRun(Engine &E, const std::string &Tag) {
   if (metricsRequested()) {
     std::printf("\n;; metrics: %s\n", Tag.c_str());
     FileOutStream &OS = FileOutStream::stdoutStream();
-    dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                                 E.tracer(), E.raceDetector(),
-                                 &E.telemetry(), E.config().CheckpointEvery));
+    dumpMetrics(OS, E);
     OS.flush();
     // The stable parse target for tools/collect_metrics.py: exact virtual
     // cycle count of the preceding timed run (deterministic per commit).

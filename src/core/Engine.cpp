@@ -1221,6 +1221,43 @@ bool Engine::nextSupervisorEvent(uint64_t &Due) const {
   return Super.nextEventClock(Due);
 }
 
+void Engine::restoreFromCheckpoint(Processor &P, Task &T,
+                                   const CheckpointRecord &R, Processor &Home,
+                                   uint64_t Cause) {
+  // Only the busy cycles since the capture were lost, so the recovery
+  // charge is budgeted to that delta — which the capture policy bounds by
+  // CheckpointEvery + one quantum. The record stays in place: a second
+  // restore before the next capture re-restores the same snapshot.
+  uint64_t LostDelta = T.SinceCheckpoint;
+  T.State = TaskState::Ready;
+  T.LastProc = Home.Id;
+  T.Stack = R.Stack;
+  T.Frames = R.Frames;
+  T.CurCode = R.CurCode;
+  T.Pc = R.Pc;
+  T.DynEnv = R.DynEnv;
+  T.BlockedOn = Value::nil();
+  T.HasWakeAction = false;
+  T.WakePop = 0;
+  T.WakeValue = Value::nil();
+  T.StopCondition.clear();
+  T.StopPop = 0;
+  T.StopRestartable = false;
+  T.UnstolenSeams = 0; // capture eligibility guarantees none
+  T.BaseFrame = 0;
+  T.SemaphoresHeld = R.SemaphoresHeld;
+  T.DidIo = R.DidIo;
+  T.SinceCheckpoint = 0;
+  T.RecoveryCharged = 0;
+  T.RecoveryBudget = LostDelta;
+  T.Recovered = LostDelta > 0;
+  Home.Queues.pushNew(T.Id, Home.Clock);
+  ++Stats.TasksRestored;
+  if (TheTracer.enabled())
+    TheTracer.record(TraceEventKind::TaskRestored, P.Id, P.Clock, T.Id,
+                     Home.Id, Cause);
+}
+
 bool Engine::supervisorRestartGroup(Processor &P, GroupId Gid) {
   Group &G = Groups[Gid];
   Task *T = liveTask(G.CurrentTask);
@@ -1238,37 +1275,8 @@ bool Engine::supervisorRestartGroup(Processor &P, GroupId Gid) {
     if (It == G.Checkpoints.end() || It->second.Epoch != T->SideEffectEpoch)
       return false;
     // Restore from the newest epoch-valid checkpoint record, exactly as
-    // fail-stop recovery does. The record stays in place: a second
-    // restart before the next capture re-restores the same snapshot.
-    const CheckpointRecord &R = It->second;
-    uint64_t LostDelta = T->SinceCheckpoint;
-    T->State = TaskState::Ready;
-    T->LastProc = Home.Id;
-    T->Stack = R.Stack;
-    T->Frames = R.Frames;
-    T->CurCode = R.CurCode;
-    T->Pc = R.Pc;
-    T->DynEnv = R.DynEnv;
-    T->BlockedOn = Value::nil();
-    T->HasWakeAction = false;
-    T->WakePop = 0;
-    T->WakeValue = Value::nil();
-    T->StopCondition.clear();
-    T->StopPop = 0;
-    T->StopRestartable = false;
-    T->UnstolenSeams = 0;
-    T->BaseFrame = 0;
-    T->SemaphoresHeld = R.SemaphoresHeld;
-    T->DidIo = R.DidIo;
-    T->SinceCheckpoint = 0;
-    T->RecoveryCharged = 0;
-    T->RecoveryBudget = LostDelta;
-    T->Recovered = LostDelta > 0;
-    Home.Queues.pushNew(T->Id, Home.Clock);
-    ++Stats.TasksRestored;
-    if (TheTracer.enabled())
-      TheTracer.record(TraceEventKind::TaskRestored, P.Id, P.Clock, T->Id,
-                       Home.Id, Gid);
+    // fail-stop recovery does.
+    restoreFromCheckpoint(P, *T, It->second, Home, Gid);
   }
   for (TaskId Parked : G.Parked) {
     if (Task *PT = liveTask(Parked); PT && PT->State == TaskState::Stopped) {
@@ -1606,38 +1614,7 @@ void Engine::recoverProcessor(Processor &P, Processor &Dead,
     while (TheMachine.processor(Next).Dead);
     Processor &Home = TheMachine.processor(Next);
     if (Item.CP) {
-      // Resume from the snapshot. Only the busy cycles since the capture
-      // were lost, so the recovery charge is budgeted to that delta —
-      // which the capture policy bounds by CheckpointEvery + one quantum.
-      const CheckpointRecord &R = *Item.CP;
-      uint64_t LostDelta = T->SinceCheckpoint;
-      T->State = TaskState::Ready;
-      T->LastProc = Home.Id;
-      T->Stack = R.Stack;
-      T->Frames = R.Frames;
-      T->CurCode = R.CurCode;
-      T->Pc = R.Pc;
-      T->DynEnv = R.DynEnv;
-      T->BlockedOn = Value::nil();
-      T->HasWakeAction = false;
-      T->WakePop = 0;
-      T->WakeValue = Value::nil();
-      T->StopCondition.clear();
-      T->StopPop = 0;
-      T->StopRestartable = false;
-      T->UnstolenSeams = 0; // capture eligibility guarantees none
-      T->BaseFrame = 0;
-      T->SemaphoresHeld = R.SemaphoresHeld;
-      T->DidIo = R.DidIo;
-      T->SinceCheckpoint = 0;
-      T->RecoveryCharged = 0;
-      T->RecoveryBudget = LostDelta;
-      T->Recovered = LostDelta > 0;
-      Home.Queues.pushNew(T->Id, Home.Clock);
-      ++Stats.TasksRestored;
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::TaskRestored, P.Id, P.Clock, T->Id,
-                         Home.Id, Dead.Id);
+      restoreFromCheckpoint(P, *T, *Item.CP, Home, Dead.Id);
       continue;
     }
     T->initForThunk(T->Id, T->Group, T->SpawnClosure, T->ResultFuture,

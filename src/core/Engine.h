@@ -483,6 +483,12 @@ public:
   /// task is treated as lost backlog.
   void recoverProcessor(Processor &P, Processor &Dead,
                         uint64_t DoomClock = ~uint64_t(0));
+  /// Resumes \p T on \p Home from checkpoint record \p R (fail-stop
+  /// recovery and supervisor restarts share it). \p P records the
+  /// restore; \p Cause is the TaskRestored event's C payload
+  /// (the dead processor, or the restarted group).
+  void restoreFromCheckpoint(Processor &P, Task &T, const CheckpointRecord &R,
+                             Processor &Home, uint64_t Cause);
 
   /// \name Determinacy-race detection (src/analysis)
   /// @{

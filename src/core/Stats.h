@@ -100,8 +100,9 @@ struct EngineStats {
   uint64_t GroupsRejected = 0; ///< launches shed at the gate
 
   // Execution.
-  uint64_t Instructions = 0;   ///< bytecode instructions executed
-  uint64_t CyclesExecuted = 0; ///< virtual NS32332 instructions charged
+  // Busy cycles are per-processor only (Processor::BusyCycles), summed
+  // where a total is needed.
+  uint64_t Instructions = 0; ///< bytecode instructions executed
   uint64_t IdleCycles = 0;
 
   // The last run's elapsed virtual time.

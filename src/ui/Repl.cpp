@@ -19,10 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-namespace mult {
-void dumpStats(OutStream &OS, const EngineStats &S); // core/Stats.cpp
-} // namespace mult
-
 using namespace mult;
 
 std::string Repl::prompt() const {
@@ -275,11 +271,7 @@ void Repl::cmdKill(std::string_view Arg) {
 }
 
 void Repl::cmdStats() {
-  dumpStats(Out, E.stats());
-  MetricsReport R = buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                                 E.tracer(), E.raceDetector(),
-                                 &E.telemetry(), E.config().CheckpointEvery);
-  dumpMetrics(Out, R);
+  dumpMetrics(Out, E);
 }
 
 void Repl::cmdHisto(std::string_view Arg) {

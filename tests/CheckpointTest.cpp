@@ -21,10 +21,6 @@
 using namespace mult;
 using namespace mult::testutil;
 
-namespace mult {
-void dumpStats(OutStream &OS, const EngineStats &S); // core/Stats.cpp
-} // namespace mult
-
 namespace {
 
 /// Eager-spawn workers, each a seam-free tail loop long enough to cross
@@ -92,10 +88,7 @@ TEST(CheckpointTest, DormantPolicyLeavesNoFootprint) {
   EXPECT_EQ(E.stats().CheckpointCycles, 0u);
   std::string Dump;
   StringOutStream OS(Dump);
-  dumpStats(OS, E.stats());
-  dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                               E.tracer(), nullptr, nullptr,
-                               E.config().CheckpointEvery));
+  dumpMetrics(OS, E);
   EXPECT_EQ(Dump.find("checkpoints:"), std::string::npos) << Dump;
   EXPECT_EQ(Dump.find("recovery-bound:"), std::string::npos) << Dump;
 }
@@ -121,10 +114,7 @@ TEST(CheckpointTest, CaptureTranscriptIsDeterministic) {
       Engine E(C);
       EXPECT_EQ(evalFixnum(E, strFormat(WorkersTemplate, 8)), 160000);
       StringOutStream OS(Out);
-      dumpStats(OS, E.stats());
-      dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                                   E.tracer(), nullptr, nullptr,
-                                   E.config().CheckpointEvery));
+      dumpMetrics(OS, E);
       Events.assign(E.tracer().events().begin(), E.tracer().events().end());
     };
     std::string A, B;
@@ -173,9 +163,7 @@ TEST(CheckpointTest, RecoveryCyclesAreBoundedByTheCaptureInterval) {
   // And the metrics report proves it in one line.
   std::string Dump;
   StringOutStream OS(Dump);
-  dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                               E.tracer(), nullptr, nullptr,
-                               E.config().CheckpointEvery));
+  dumpMetrics(OS, E);
   EXPECT_NE(Dump.find("recovery-bound:"), std::string::npos) << Dump;
   EXPECT_NE(Dump.find("(OK)"), std::string::npos) << Dump;
   EXPECT_EQ(Dump.find("VIOLATED"), std::string::npos) << Dump;
@@ -328,7 +316,7 @@ TEST(CheckpointTest, GcPhaseKillTranscriptIsDeterministic) {
     Engine E(C);
     EXPECT_EQ(evalFixnum(E, strFormat(WorkersTemplate, 8)), 160000);
     StringOutStream OS(Out);
-    dumpStats(OS, E.stats());
+    dumpMetrics(OS, E);
     Events.assign(E.tracer().events().begin(), E.tracer().events().end());
   };
   std::string A, B;

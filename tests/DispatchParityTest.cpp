@@ -31,7 +31,7 @@ struct RunFingerprint {
   std::string Result;       ///< printed value (or error text)
   uint64_t ElapsedCycles;   ///< virtual time of the run
   uint64_t Instructions;    ///< architectural instruction count
-  uint64_t CyclesExecuted;  ///< busy cycles charged
+  uint64_t BusyCycles;      ///< busy cycles charged, all processors
   uint64_t IdleCycles;
   uint64_t TasksCreated;
   uint64_t FuturesResolved;
@@ -46,13 +46,13 @@ struct RunFingerprint {
   std::string Trace;        ///< serialized event stream ("" if untraced)
 
   bool operator==(const RunFingerprint &O) const {
-    return std::tie(Result, ElapsedCycles, Instructions, CyclesExecuted,
+    return std::tie(Result, ElapsedCycles, Instructions, BusyCycles,
                     IdleCycles, TasksCreated, FuturesResolved,
                     TouchesExecuted, TouchesBlocked, Steals, StealAttempts,
                     Dispatches, FaultsInjected, Collections, GcPauseCycles,
                     Trace) ==
            std::tie(O.Result, O.ElapsedCycles, O.Instructions,
-                    O.CyclesExecuted, O.IdleCycles, O.TasksCreated,
+                    O.BusyCycles, O.IdleCycles, O.TasksCreated,
                     O.FuturesResolved, O.TouchesExecuted, O.TouchesBlocked,
                     O.Steals, O.StealAttempts, O.Dispatches,
                     O.FaultsInjected, O.Collections, O.GcPauseCycles,
@@ -69,7 +69,7 @@ void printDiff(std::ostream &OS, const RunFingerprint &A,
   Row("result", A.Result, B.Result);
   Row("elapsed-cycles", A.ElapsedCycles, B.ElapsedCycles);
   Row("instructions", A.Instructions, B.Instructions);
-  Row("cycles-executed", A.CyclesExecuted, B.CyclesExecuted);
+  Row("busy-cycles", A.BusyCycles, B.BusyCycles);
   Row("idle-cycles", A.IdleCycles, B.IdleCycles);
   Row("tasks-created", A.TasksCreated, B.TasksCreated);
   Row("futures-resolved", A.FuturesResolved, B.FuturesResolved);
@@ -123,7 +123,7 @@ RunFingerprint runOnce(DispatchMode Mode, const std::string &Program,
   const EngineStats &S = E.stats();
   F.ElapsedCycles = S.ElapsedCycles;
   F.Instructions = S.Instructions;
-  F.CyclesExecuted = S.CyclesExecuted;
+  F.BusyCycles = busyCycles(E);
   F.IdleCycles = S.IdleCycles;
   F.TasksCreated = S.TasksCreated;
   F.FuturesResolved = S.FuturesResolved;

@@ -21,10 +21,6 @@
 using namespace mult;
 using namespace mult::testutil;
 
-namespace mult {
-void dumpStats(OutStream &OS, const EngineStats &S); // core/Stats.cpp
-} // namespace mult
-
 namespace {
 
 EngineConfig killConfig(unsigned Procs, std::string Spec) {
@@ -241,9 +237,7 @@ TEST(RecoveryTest, RecoveryTranscriptIsDeterministic) {
     Engine E(C);
     EXPECT_EQ(evalFixnum(E, FibProgram), 6765);
     StringOutStream OS(StatsOut);
-    dumpStats(OS, E.stats());
-    dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                                 E.tracer()));
+    dumpMetrics(OS, E);
     Events.assign(E.tracer().events().begin(), E.tracer().events().end());
   };
   std::string StatsA, StatsB;
@@ -292,7 +286,7 @@ TEST(RecoveryTest, NoKillClauseMeansNoRecoveryFootprint) {
   EXPECT_EQ(E.stats().RecoveryCycles, 0u);
   std::string Dump;
   StringOutStream OS(Dump);
-  dumpStats(OS, E.stats());
+  dumpMetrics(OS, E);
   EXPECT_EQ(Dump.find("recovery:"), std::string::npos) << Dump;
 }
 

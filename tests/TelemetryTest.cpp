@@ -11,6 +11,7 @@
 
 #include "obs/Metrics.h"
 #include "obs/Telemetry.h"
+#include "support/StrUtil.h"
 #include "ui/Repl.h"
 
 #include <string>
@@ -277,18 +278,19 @@ TEST(TelemetryTest, TaskLifetimesNoLongerNeedTracing) {
   Engine E(config(2));
   ASSERT_FALSE(E.tracer().enabled());
   evalOk(E, "(touch (future (+ 1 2)))");
-  MetricsReport R = buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                                 E.tracer(), nullptr, &E.telemetry());
-  EXPECT_GT(R.TasksMeasured, 0u) << "lifetimes must not require the tracer";
-  EXPECT_FALSE(R.Latencies.empty());
-  bool SawLifetime = false;
-  for (const MetricsReport::LatencySummary &L : R.Latencies)
-    if (L.Name == "task-lifetime") {
-      SawLifetime = true;
-      EXPECT_GT(L.Count, 0u);
-      EXPECT_GE(L.Max, L.P50);
-    }
-  EXPECT_TRUE(SawLifetime);
+  LatencyHistogram H =
+      E.telemetry().merged(E.telemetry().find("task_lifetime_cycles"));
+  EXPECT_GT(H.count(), 0u) << "lifetimes must not require the tracer";
+  EXPECT_GE(H.max(), H.percentile(50));
+  std::string Text;
+  StringOutStream OS(Text);
+  dumpMetrics(OS, E);
+  EXPECT_NE(Text.find("latency (virtual cycles):"), std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find(strFormat("  task-lifetime      n=%llu ",
+                                static_cast<unsigned long long>(H.count()))),
+            std::string::npos)
+      << Text;
 }
 
 TEST(TelemetryTest, ResetStatsClearsValuesButKeepsSeries) {

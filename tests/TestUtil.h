@@ -53,6 +53,14 @@ inline std::string evalErr(Engine &E, std::string_view Src,
   return R.Error;
 }
 
+/// Busy cycles charged since the last reset, summed over processors.
+inline uint64_t busyCycles(Engine &E) {
+  uint64_t Busy = 0;
+  for (unsigned I = 0; I < E.machine().numProcessors(); ++I)
+    Busy += E.machine().processor(I).BusyCycles;
+  return Busy;
+}
+
 } // namespace testutil
 } // namespace mult
 

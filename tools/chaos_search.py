@@ -243,8 +243,8 @@ def run_point(repl, program, plan, timeout=60):
     if p.returncode != 0:
         return None, "crash rc=%d" % p.returncode
     out = p.stdout
-    # Split the transcript at the :stats command echo-free boundary: the
-    # stats block starts at the dispatch table header.
+    # Split the transcript at the :stats report, whose first line is the
+    # per-processor table header; everything before it is run outcome.
     stats_at = out.find("per-processor virtual time")
     procs_at = out.find("proc  state")
     outcome = out[:stats_at if stats_at >= 0 else len(out)]
