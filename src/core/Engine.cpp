@@ -871,8 +871,7 @@ EvalResult Engine::resumeGroup(GroupId Id, Value ResumeValue) {
       StoppedStack.end());
 
   beginRun(G->RootFuture, Id);
-  RunResult RR = TheMachine.run(*this, G->RootFuture);
-  return translateRunResult(RR, Id);
+  return translateRunResult(TheMachine.run(*this), Id);
 }
 
 void Engine::killGroup(GroupId Id) {
@@ -1682,7 +1681,6 @@ void Engine::maybeCheckpoint(Processor &P, Task &T) {
       uint64_t(R.Stack.size()) + uint64_t(R.Frames.size()) * 4;
   uint64_t Cost = cost::CheckpointBase + CopiedWords / 4;
   P.charge(Cost);
-  ++Stats.CheckpointsTaken;
   Stats.CheckpointCycles += Cost;
   ++P.CheckpointsTaken;
   P.LastCheckpointClock = P.Clock;
@@ -1801,11 +1799,72 @@ void Engine::beginRun(Value Root, GroupId RootGroup) {
     RootClock = TheMachine.homeFor(0).Clock;
 }
 
-Value Engine::rootValue() const {
-  Value V = RootFuture;
+namespace {
+/// \p V with every resolved future it leads to chased to its value.
+Value resolvedValue(Value V) {
   while (V.isFuture() && V.pointee()->futureResolved())
     V = V.pointee()->futureValue();
   return V;
+}
+} // namespace
+
+Value Engine::rootValue() const { return resolvedValue(RootFuture); }
+
+EvalResult Engine::stoppedResult(GroupId Gid) const {
+  // Heap exhaustion inside a task stops its group (so the breakloop can
+  // inspect and kill it) but callers match on the dedicated kind.
+  const Group &G = Groups[Gid];
+  EvalResult R;
+  R.K = G.Condition.compare(0, 14, "heap-exhausted") == 0
+            ? EvalResult::Kind::HeapExhausted
+            : EvalResult::Kind::RuntimeError;
+  R.Error = G.Condition;
+  R.StoppedGroup = Gid;
+  return R;
+}
+
+Engine::RootLaunch Engine::launchRoot(Code *TopCode, std::string Banner,
+                                      unsigned Home) {
+  RootLaunch L;
+  L.Gid = static_cast<GroupId>(Groups.size());
+  Groups.emplace_back();
+  Group &G = Groups.back();
+  G.Id = L.Gid;
+  G.Banner = std::move(Banner);
+  G.Internal = Bootstrapping;
+  applyTenantDefaults(G);
+
+  // Root closure and future (GC-safe: the closure is protected via the
+  // group's RootFuture only after both allocations, so allocate the
+  // future first and keep the closure in a scanned slot).
+  Object *Fut = allocOrGc(TypeTag::Future, Object::FutureSizeWords);
+  if (!Fut) {
+    L.Error = "heap exhausted allocating root future";
+    return L;
+  }
+  Fut->setSlot(Object::FutState, Value::fixnum(0));
+  Fut->setSlot(Object::FutValue, Value::unspecified());
+  Fut->setSlot(Object::FutWaiters, Value::nil());
+  Fut->setSlot(Object::FutTaskId, Value::fixnum(0));
+  Fut->setSlot(Object::FutGroupId, Value::fixnum(L.Gid));
+  G.RootFuture = Value::future(Fut);
+
+  Object *Clo = allocOrGc(TypeTag::Closure, 1);
+  if (!Clo) {
+    L.Error = "heap exhausted allocating root closure";
+    return L;
+  }
+  Clo->setSlot(0, Registry.templateFor(TopCode));
+  // Re-read the future: allocating the closure may have collected.
+  Fut = G.RootFuture.pointee();
+
+  // Home is a hint: a fail-stopped processor hands over to a survivor.
+  L.Proc = TheMachine.homeFor(Home).Id;
+  L.Root = newTask(L.Gid, Value::object(Clo), G.RootFuture, Value::nil(),
+                   L.Proc);
+  Fut->setSlot(Object::FutTaskId,
+               Value::fixnum(static_cast<int64_t>(taskIndex(L.Root))));
+  return L;
 }
 
 EvalResult Engine::translateRunResult(const RunResult &RR, GroupId G) {
@@ -1817,13 +1876,7 @@ EvalResult Engine::translateRunResult(const RunResult &RR, GroupId G) {
     group(G).State = GroupState::Done;
     return R;
   case RunStatus::GroupStopped:
-    // Heap exhaustion inside a task stops its group (so the breakloop can
-    // inspect and kill it) but callers match on the dedicated kind.
-    R.K = RR.Error.compare(0, 14, "heap-exhausted") == 0
-              ? EvalResult::Kind::HeapExhausted
-              : EvalResult::Kind::RuntimeError;
-    R.Error = RR.Error;
-    R.StoppedGroup = RR.StoppedGroup;
+    R = stoppedResult(RR.StoppedGroup);
     R.Heap = RR.Heap;
     return R;
   case RunStatus::Deadlock:
@@ -1846,59 +1899,24 @@ EvalResult Engine::translateRunResult(const RunResult &RR, GroupId G) {
 }
 
 EvalResult Engine::runTopLevel(Code *TopCode, std::string_view Banner) {
-  EvalResult R;
-
-  // Group for this top-level expression.
-  GroupId Gid = static_cast<GroupId>(Groups.size());
-  Groups.emplace_back();
-  Group &G = Groups.back();
-  G.Id = Gid;
-  G.Banner = std::string(Banner);
-  G.Internal = Bootstrapping;
-  applyTenantDefaults(G);
-
-  // Root closure and future (GC-safe: the closure is protected via the
-  // group's RootFuture only after both allocations, so allocate the
-  // future first and keep the closure in a scanned slot).
-  Object *Fut = allocOrGc(TypeTag::Future, Object::FutureSizeWords);
-  if (!Fut) {
-    R.K = EvalResult::Kind::HeapExhausted;
-    R.Error = "heap exhausted allocating root future";
-    return R;
-  }
-  Fut->setSlot(Object::FutState, Value::fixnum(0));
-  Fut->setSlot(Object::FutValue, Value::unspecified());
-  Fut->setSlot(Object::FutWaiters, Value::nil());
-  Fut->setSlot(Object::FutTaskId, Value::fixnum(0));
-  Fut->setSlot(Object::FutGroupId, Value::fixnum(Gid));
-  G.RootFuture = Value::future(Fut);
-
-  Object *Clo = allocOrGc(TypeTag::Closure, 1);
-  if (!Clo) {
-    R.K = EvalResult::Kind::HeapExhausted;
-    R.Error = "heap exhausted allocating root closure";
-    return R;
-  }
-  Clo->setSlot(0, Registry.templateFor(TopCode));
-  // Re-read the future: allocating the closure may have collected.
-  Fut = G.RootFuture.pointee();
-
   // Launch on processor 0 — or, if it fail-stopped, the nearest survivor.
-  Processor &P0 = TheMachine.homeFor(0);
-  TaskId Root = newTask(Gid, Value::object(Clo), G.RootFuture,
-                        Value::nil(), P0.Id);
-  Fut->setSlot(Object::FutTaskId,
-               Value::fixnum(static_cast<int64_t>(taskIndex(Root))));
+  RootLaunch L = launchRoot(TopCode, std::string(Banner), 0);
+  if (L.Root == InvalidTask) {
+    EvalResult R;
+    R.K = EvalResult::Kind::HeapExhausted;
+    R.Error = L.Error;
+    return R;
+  }
+  Processor &P0 = TheMachine.processor(L.Proc);
+  P0.charge(P0.Queues.pushNew(L.Root, P0.Clock));
 
-  P0.charge(P0.Queues.pushNew(Root, P0.Clock));
-
-  beginRun(G.RootFuture, Gid);
-  RunResult RR = TheMachine.run(*this, G.RootFuture);
+  beginRun(group(L.Gid).RootFuture, L.Gid);
+  RunResult RR = TheMachine.run(*this);
   // Request latency for the multi-tenant story: every top-level eval is
   // one request, including the ones that end in a breakloop.
   Telem.add(TelemIds.EvalsTotal, P0.Id);
   Telem.record(TelemIds.EvalRequest, P0.Id, RR.ElapsedCycles);
-  return translateRunResult(RR, Gid);
+  return translateRunResult(RR, L.Gid);
 }
 
 EvalResult Engine::evalDatum(Value Form, std::string_view Banner) {
@@ -1995,14 +2013,15 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
       continue;
     }
 
-    GroupId Gid = static_cast<GroupId>(Groups.size());
-    Groups.emplace_back();
-    Group &G = Groups.back();
-    G.Id = Gid;
-    G.Banner = valueToString(Forms[0]);
-    if (G.Banner.size() > 60)
-      G.Banner.resize(60);
-    applyTenantDefaults(G);
+    std::string Banner = valueToString(Forms[0]);
+    if (Banner.size() > 60)
+      Banner.resize(60);
+    // Home processors round-robin so a single-tenant hot spot cannot
+    // starve the others' root launches.
+    RootLaunch RL =
+        launchRoot(CR.TopCode, std::move(Banner), unsigned(I % NP));
+    GroupId Gid = RL.Gid;
+    Group &G = Groups[Gid];
     if (L.HeapQuotaWords)
       G.HeapQuotaWords = L.HeapQuotaWords;
     if (L.CycleBudget)
@@ -2021,45 +2040,18 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
       }
     }
 
-    // Root future and closure, same GC discipline as runTopLevel.
-    Object *Fut = allocOrGc(TypeTag::Future, Object::FutureSizeWords);
-    if (!Fut) {
+    if (RL.Root == InvalidTask) {
       Results[I].K = EvalResult::Kind::HeapExhausted;
-      Results[I].Error = "heap exhausted allocating root future";
+      Results[I].Error = RL.Error;
       G.State = GroupState::Killed;
       TL.Terminal = true;
       MLaunches.push_back(TL);
       continue;
     }
-    Fut->setSlot(Object::FutState, Value::fixnum(0));
-    Fut->setSlot(Object::FutValue, Value::unspecified());
-    Fut->setSlot(Object::FutWaiters, Value::nil());
-    Fut->setSlot(Object::FutTaskId, Value::fixnum(0));
-    Fut->setSlot(Object::FutGroupId, Value::fixnum(Gid));
-    G.RootFuture = Value::future(Fut);
 
-    Object *Clo = allocOrGc(TypeTag::Closure, 1);
-    if (!Clo) {
-      Results[I].K = EvalResult::Kind::HeapExhausted;
-      Results[I].Error = "heap exhausted allocating root closure";
-      G.State = GroupState::Killed;
-      TL.Terminal = true;
-      MLaunches.push_back(TL);
-      continue;
-    }
-    Clo->setSlot(0, Registry.templateFor(CR.TopCode));
-    Fut = G.RootFuture.pointee();
-
-    // Home processors round-robin so a single-tenant hot spot cannot
-    // starve the others' root launches.
-    Processor &Home = TheMachine.homeFor(unsigned(I % NP));
-    TaskId Root =
-        newTask(Gid, Value::object(Clo), G.RootFuture, Value::nil(), Home.Id);
-    Fut->setSlot(Object::FutTaskId,
-                 Value::fixnum(static_cast<int64_t>(taskIndex(Root))));
-
+    Processor &Home = TheMachine.processor(RL.Proc);
     TL.Gid = Gid;
-    TL.Root = Root;
+    TL.Root = RL.Root;
     TL.EnqueuedAt = Home.Clock;
     ++MOutstanding;
     Telem.add(TelemIds.EvalsTotal, Home.Id);
@@ -2108,7 +2100,7 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
   if (MOutstanding) {
     beginRun(Value::nil(), InvalidGroup);
     MultiOn = true;
-    RR = TheMachine.run(*this, Value::nil());
+    RR = TheMachine.run(*this);
     MultiOn = false;
   }
 
@@ -2120,20 +2112,12 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
     Group &G = Groups[L.Gid];
     EvalResult &R = Results[I];
     switch (G.State) {
-    case GroupState::Done: {
+    case GroupState::Done:
       R.K = EvalResult::Kind::Value;
-      Value V = G.RootFuture;
-      while (V.isFuture() && V.pointee()->futureResolved())
-        V = V.pointee()->futureValue();
-      R.Val = V;
+      R.Val = resolvedValue(G.RootFuture);
       break;
-    }
     case GroupState::Stopped:
-      R.K = G.Condition.compare(0, 14, "heap-exhausted") == 0
-                ? EvalResult::Kind::HeapExhausted
-                : EvalResult::Kind::RuntimeError;
-      R.Error = G.Condition;
-      R.StoppedGroup = L.Gid;
+      R = stoppedResult(L.Gid);
       break;
     case GroupState::Killed:
       if (R.K == EvalResult::Kind::Value && R.Error.empty()) {

@@ -579,6 +579,21 @@ private:
   void installPrimitiveWrappers();
   EvalResult runTopLevel(Code *TopCode, std::string_view Banner);
   EvalResult translateRunResult(const RunResult &R, GroupId G);
+  /// The root launch runTopLevel and evalGroups share: a new group named
+  /// \p Banner with the tenant defaults, its unresolved root future, and a
+  /// root task for \p TopCode, not yet queued, homed on the first live
+  /// processor from \p Home. Root is InvalidTask, and Error names the
+  /// allocation, when the heap cannot hold the future or its closure.
+  struct RootLaunch {
+    GroupId Gid = InvalidGroup;
+    TaskId Root = InvalidTask;
+    unsigned Proc = 0; ///< the root task's home processor
+    std::string Error;
+  };
+  RootLaunch launchRoot(Code *TopCode, std::string Banner, unsigned Home);
+  /// The result of the stopped group \p Gid: its condition, as a heap
+  /// exhaustion when the condition names one, else as a runtime error.
+  EvalResult stoppedResult(GroupId Gid) const;
   /// Applies EngineConfig quota/budget defaults to a fresh user group.
   void applyTenantDefaults(Group &G);
   /// Multi-run hook at a group-termination edge (stop/kill): consults the

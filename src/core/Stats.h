@@ -28,7 +28,10 @@ struct FutureStepStats {
   }
 };
 
-/// Engine-wide counters, cumulative until resetStats().
+/// Engine-wide counters, cumulative until resetStats(). The run totals
+/// marked below live on the processors (sched/Machine.h) and are summed
+/// into these fields once, when Machine::run returns: exact between runs,
+/// during a run they still hold the sums from the last run's exit.
 struct EngineStats {
   // Tasks and futures.
   uint64_t TasksCreated = 0;
@@ -48,7 +51,7 @@ struct EngineStats {
   // Scheduling. One StealAttempt is one stealNew/stealSuspended probe of a
   // victim queue; it either yields a dispatched task (Steals) or not
   // (StealsFailed: queue empty, or the popped task was vetoed), so
-  // Steals + StealsFailed == StealAttempts always.
+  // Steals + StealsFailed == StealAttempts always. Run totals.
   uint64_t Dispatches = 0;
   uint64_t Steals = 0;
   uint64_t StealAttempts = 0;
@@ -79,7 +82,7 @@ struct EngineStats {
 
   // Checkpointed recovery (EngineConfig::CheckpointEvery / MULT_CHECKPOINT;
   // zero unless armed).
-  uint64_t CheckpointsTaken = 0;  ///< checkpoint records captured
+  uint64_t CheckpointsTaken = 0;  ///< records captured (a run total)
   uint64_t CheckpointCycles = 0;  ///< virtual cycles spent capturing
   uint64_t TasksRestored = 0;     ///< lost tasks resumed from a checkpoint
   /// Largest per-task re-execution charge among checkpoint-restored tasks;
@@ -99,9 +102,8 @@ struct EngineStats {
   uint64_t GroupsQueued = 0;   ///< launches parked in the admission queue
   uint64_t GroupsRejected = 0; ///< launches shed at the gate
 
-  // Execution.
-  // Busy cycles are per-processor only (Processor::BusyCycles), summed
-  // where a total is needed.
+  // Execution. Run totals; busy cycles are per-processor only
+  // (Processor::BusyCycles), summed where a total is needed.
   uint64_t Instructions = 0; ///< bytecode instructions executed
   uint64_t IdleCycles = 0;
 

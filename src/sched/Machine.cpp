@@ -144,8 +144,7 @@ bool Machine::idleRoundsFail(Engine &E) const {
   return AnyCurrent && E.seams().empty();
 }
 
-void Machine::wakeAll(Engine &E, uint64_t H, unsigned B) {
-  EngineStats &S = E.stats();
+void Machine::wakeAll(uint64_t H, unsigned B) {
   for (unsigned I = 0; I < Procs.size(); ++I) {
     Sleeper &Z = Sleep[I];
     if (!Z.Asleep)
@@ -158,9 +157,6 @@ void Machine::wakeAll(Engine &E, uint64_t H, unsigned B) {
     Q.IdleCycles += K * cost::IdleTick;
     Q.StealAttempts += K * Z.RoundProbes;
     Q.StealsFailed += K * Z.RoundProbes;
-    S.IdleCycles += K * cost::IdleTick;
-    S.StealAttempts += K * Z.RoundProbes;
-    S.StealsFailed += K * Z.RoundProbes;
     SleepStats.RoundsReplayed += K;
     Z.Asleep = false;
   }
@@ -183,7 +179,7 @@ Processor &Machine::homeFor(unsigned Preferred) {
   return Procs[Preferred]; // unreachable: at least one processor lives
 }
 
-RunResult Machine::run(Engine &E, Value RootFuture) {
+RunResult Machine::run(Engine &E) {
   // Host wall-clock for the whole run loop (RAII covers every return).
   // Nested collections also accrue to the Gc phase; subtract Gc from Run
   // to isolate the mutator. Host time never feeds virtual time.
@@ -195,22 +191,14 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
   for (Processor &P : Procs)
     Start = std::max(Start, P.Clock);
   // Published so fault marks can be made run-relative outside this loop
-  // (the GC-phase kill poll fires from inside a collection); cleared on
-  // every return path.
+  // (the GC-phase kill poll fires from inside a collection); cleared by
+  // the run's exit.
   RunStart = Start;
   InRun = true;
-  struct InRunGuard {
-    Machine &M;
-    ~InRunGuard() {
-      assert(M.NumAsleep == 0 && "a processor slept past the end of a run");
-      M.InRun = false;
-    }
-  } RunGuard{*this};
   for (Processor &P : Procs) {
     uint64_t Skew = Start - P.Clock;
     P.Clock = Start;
     P.IdleCycles += Skew;
-    E.stats().IdleCycles += Skew;
   }
 
   // Idle sleep. While every queue and the seam deque are empty and some
@@ -225,7 +213,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
                         !E.tenantArmed() && !Adaptive.Enabled;
   auto WakeBefore = [&](const Processor &B) {
     if (NumAsleep)
-      wakeAll(E, B.Clock, B.Id);
+      wakeAll(B.Clock, B.Id);
   };
 
   RunResult R;
@@ -269,14 +257,47 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
            E.lastStoppedGroup() == E.rootGroup() &&
            E.group(E.rootGroup()).State == GroupState::Stopped;
   };
+  // The run's one exit. It fills in the outcome and publishes the run's
+  // engine-side totals: the elapsed time, and the sums of the run counters
+  // (the processors hold their only copy while the run is on). Every
+  // sleeper has been credited by now, so the sums are exact.
+  auto Exit = [&](RunStatus Status, uint64_t EndClock) {
+    assert(NumAsleep == 0 && "a processor slept past the end of a run");
+    InRun = false;
+    R.Status = Status;
+    R.ElapsedCycles = EndClock - Start;
+    if (Status == RunStatus::GroupStopped) {
+      R.StoppedGroup = E.rootGroup();
+      R.Error = E.group(R.StoppedGroup).Condition;
+    }
+    EngineStats &S = E.stats();
+    S.ElapsedCycles = R.ElapsedCycles;
+    S.Instructions = S.IdleCycles = S.Dispatches = S.Steals = 0;
+    S.StealAttempts = S.StealsFailed = S.CheckpointsTaken = 0;
+    for (const Processor &Q : Procs) {
+      S.Instructions += Q.Instructions;
+      S.IdleCycles += Q.IdleCycles;
+      S.Dispatches += Q.Dispatches;
+      S.Steals += Q.Steals;
+      S.StealAttempts += Q.StealAttempts;
+      S.StealsFailed += Q.StealsFailed;
+      S.CheckpointsTaken += Q.CheckpointsTaken;
+    }
+    return std::move(R);
+  };
+  auto HeapExhaustedExit = [&](uint64_t EndClock, const char *Why) {
+    R.Error = "heap exhausted: " +
+              (E.heap().wedged() ? E.heap().wedgedReason()
+                                 : std::string(Why)) +
+              OffenderSuffix();
+    R.Heap = SnapshotHeap();
+    return Exit(RunStatus::HeapExhausted, EndClock);
+  };
 
   for (;;) {
     if (E.rootResolved()) {
-      R.Status = RunStatus::Completed;
       R.Result = E.rootValue();
-      R.ElapsedCycles = E.rootResolvedClock() - Start;
-      E.stats().ElapsedCycles = R.ElapsedCycles;
-      return R;
+      return Exit(RunStatus::Completed, E.rootResolvedClock());
     }
 
     Processor &P = Procs[minClockProcessor()];
@@ -284,14 +305,11 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       if (NumAsleep) {
         // The sleepers' rounds that start within the limit still run
         // first; the minimum over every processor is then reported.
-        wakeAll(E, Start + MaxRunCycles + 1, 0);
+        wakeAll(Start + MaxRunCycles + 1, 0);
         continue;
       }
-      R.Status = RunStatus::CycleLimit;
       R.Error = "virtual cycle limit exceeded";
-      R.ElapsedCycles = P.Clock - Start;
-      E.stats().ElapsedCycles = R.ElapsedCycles;
-      return R;
+      return Exit(RunStatus::CycleLimit, P.Clock);
     }
 
     // Adaptive inlining threshold: this processor's adaptation window may
@@ -327,16 +345,10 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
           Processor &Obs = Procs[minClockProcessor()];
           E.noteFault(Obs, FaultKind::ProcKill, Victim);
           E.recoverProcessor(Obs, Dead, Start + KillMark);
-          if (RootStopped()) {
-            // An orphaned future stopped the root group: surface the
-            // processor-lost condition to the breakloop.
-            R.Status = RunStatus::GroupStopped;
-            R.StoppedGroup = E.rootGroup();
-            R.Error = E.group(E.rootGroup()).Condition;
-            R.ElapsedCycles = Obs.Clock - Start;
-            E.stats().ElapsedCycles = R.ElapsedCycles;
-            return R;
-          }
+          // An orphaned future stopped the root group: surface the
+          // processor-lost condition to the breakloop.
+          if (RootStopped())
+            return Exit(RunStatus::GroupStopped, Obs.Clock);
         }
         continue;
       }
@@ -348,7 +360,6 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
         E.noteFault(P, FaultKind::Stall, Jump);
         P.Clock += Jump;
         P.IdleCycles += Jump;
-        E.stats().IdleCycles += Jump;
         continue;
       }
       // Quota squeeze: clamp a group's heap quota to half its current
@@ -374,27 +385,12 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       uint64_t GcMark;
       if (E.faults().takeForcedGc(P.Clock - Start, GcMark)) {
         E.noteFault(P, FaultKind::SpuriousGc, GcMark);
-        if (!E.collectGarbage()) {
-          R.Status = RunStatus::HeapExhausted;
-          R.Error = "heap exhausted: " +
-                    (E.heap().wedged() ? E.heap().wedgedReason()
-                                       : "cannot start a collection") +
-                    OffenderSuffix();
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          R.Heap = SnapshotHeap();
-          return R;
-        }
-        if (RootStopped()) {
-          // A proc-kill landed inside the forced collection and orphaned
-          // a root-group future.
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          return R;
-        }
+        if (!E.collectGarbage())
+          return HeapExhaustedExit(P.Clock, "cannot start a collection");
+        // A proc-kill landed inside the forced collection and orphaned a
+        // root-group future.
+        if (RootStopped())
+          return Exit(RunStatus::GroupStopped, P.Clock);
         continue;
       }
     }
@@ -439,14 +435,8 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
                       T.Group,
                       static_cast<unsigned long long>(E.config().MaxCycles)));
         P.Current = InvalidTask;
-        if (RootStopped()) {
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          return R;
-        }
+        if (RootStopped())
+          return Exit(RunStatus::GroupStopped, P.Clock);
         continue;
       }
 
@@ -455,14 +445,8 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       // next instruction never executed); every other group keeps running.
       if (E.tenantArmed() && E.pollTenant(P, T)) {
         P.Current = InvalidTask;
-        if (RootStopped()) {
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          return R;
-        }
+        if (RootStopped())
+          return Exit(RunStatus::GroupStopped, P.Clock);
         continue;
       }
 
@@ -496,7 +480,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       // caught-up clocks), resolves the root, or leaves work visible.
       if (NumAsleep && (Step != StepOutcome::TimeSlice || E.rootResolved() ||
                         !idleRoundsFail(E)))
-        wakeAll(E, StepClock, P.Id);
+        wakeAll(StepClock, P.Id);
       switch (Step) {
       case StepOutcome::TimeSlice:
         FruitlessGcs = 0;
@@ -509,36 +493,25 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       case StepOutcome::TaskDone:
       case StepOutcome::GroupStopped:
         P.Current = InvalidTask;
-        if (RootStopped()) {
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          return R;
-        }
+        if (RootStopped())
+          return Exit(RunStatus::GroupStopped, P.Clock);
         break;
       case StepOutcome::NeedsGc: {
         // Heap exhaustion degrades gracefully: the task's group stops
         // with a heap-exhausted condition (breakloop-inspectable and
         // killable) instead of abandoning the run. The instruction never
-        // executed, so the stop is restartable.
+        // executed, so the stop is restartable. True when that stopped
+        // the root group, with the heap's facts taken for the result.
         auto StopHeapExhausted = [&](const std::string &Condition) -> bool {
           ++E.stats().HeapExhaustedStops;
           E.stopGroupRestartable(P, T, Condition);
           P.Current = InvalidTask;
           SameSpotTask = InvalidTask;
           FruitlessGcs = 0;
-          if (RootStopped()) {
-            R.Status = RunStatus::GroupStopped;
-            R.StoppedGroup = E.rootGroup();
-            R.Error = E.group(E.rootGroup()).Condition;
-            R.ElapsedCycles = P.Clock - Start;
-            E.stats().ElapsedCycles = R.ElapsedCycles;
-            R.Heap = SnapshotHeap();
-            return true;
-          }
-          return false;
+          if (!RootStopped())
+            return false;
+          R.Heap = SnapshotHeap();
+          return true;
         };
         // An injected allocation failure is not evidence of a full heap;
         // run the collection but keep the exhaustion heuristics quiet.
@@ -560,7 +533,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
                                   "allocates more than the collected heap "
                                   "can hold") +
                       OffenderSuffix()))
-                return R;
+                return Exit(RunStatus::GroupStopped, P.Clock);
               break;
             }
           } else {
@@ -570,29 +543,15 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
           }
         }
         size_t UsedBefore = E.heap().usedWords();
-        if (!E.collectGarbage()) {
-          // Nothing recoverable remains (to-space overflow wedges the
-          // heap mid-copy): report a structured fatal result.
-          R.Status = RunStatus::HeapExhausted;
-          R.Error = "heap exhausted: " +
-                    (E.heap().wedged() ? E.heap().wedgedReason()
-                                       : "semispace too small for live data") +
-                    OffenderSuffix();
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          R.Heap = SnapshotHeap();
-          return R;
-        }
-        if (RootStopped()) {
-          // A proc-kill landed inside the collection and orphaned a
-          // root-group future.
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          return R;
-        }
+        // Nothing recoverable remains (to-space overflow wedges the heap
+        // mid-copy): report a structured fatal result.
+        if (!E.collectGarbage())
+          return HeapExhaustedExit(P.Clock,
+                                   "semispace too small for live data");
+        // A proc-kill landed inside the collection and orphaned a
+        // root-group future.
+        if (RootStopped())
+          return Exit(RunStatus::GroupStopped, P.Clock);
         // A collection that frees (almost) nothing cannot unblock the
         // failing allocation; stop the group instead of thrashing.
         if (!Injected && E.heap().usedWords() + 64 >= UsedBefore) {
@@ -606,7 +565,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
                     std::string("heap-exhausted: collection reclaimed no "
                                 "space") +
                     OffenderSuffix()))
-              return R;
+              return Exit(RunStatus::GroupStopped, P.Clock);
             break;
           }
         } else if (!Injected) {
@@ -639,7 +598,6 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
     }
     P.Clock += cost::IdleTick;
     P.IdleCycles += cost::IdleTick;
-    E.stats().IdleCycles += cost::IdleTick;
     ++SleepStats.RoundsRun;
 
     if (WillFail) {
@@ -665,7 +623,6 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
           uint64_t Jump = Due - Q.Clock;
           Q.Clock = Due;
           Q.IdleCycles += Jump;
-          E.stats().IdleCycles += Jump;
         }
         E.supervisorTick(Procs[minClockProcessor()]);
         continue;
@@ -675,14 +632,10 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       // inlining). Reconstruct the task -> future wait-for graph so the
       // report names the cycle, not just the symptom.
       ++E.stats().DeadlocksDetected;
-      R.Status = RunStatus::Deadlock;
       R.Error = "deadlock: all processors idle, root future unresolved";
       if (std::string Graph = E.describeWaitGraph(); !Graph.empty())
         R.Error += "\n" + Graph;
-      R.ElapsedCycles = P.Clock - Start;
-      E.stats().ElapsedCycles = R.ElapsedCycles;
-      return R;
+      return Exit(RunStatus::Deadlock, P.Clock);
     }
   }
-  (void)RootFuture;
 }

@@ -39,7 +39,10 @@ struct Processor {
   // BusyCycles (charge), IdleCycles (idle ticks + waiting for a run to
   // start) or GcCycles (collection pauses), so
   //   Clock == ClockAtReset + BusyCycles + IdleCycles + GcCycles
-  // holds from any resetStats (TraceTest asserts it).
+  // holds from any resetStats (TraceTest asserts it). IdleCycles,
+  // Instructions, Dispatches, the steal counters and CheckpointsTaken are
+  // the only copy of those run totals: Machine::run sums them into
+  // EngineStats when it returns.
   uint64_t BusyCycles = 0;
   uint64_t IdleCycles = 0;
   uint64_t GcCycles = 0;           ///< collection pauses (rendezvous to resume)
@@ -140,12 +143,12 @@ public:
           uint64_t MaxRunCycles, StealOrder Order,
           const AdaptiveTConfig &Adaptive = AdaptiveTConfig());
 
-  /// Runs until the future \p RootFuture resolves (or an exceptional
-  /// status). Runnable tasks must already be enqueued. Unless an observer
+  /// Runs until the root future Engine::beginRun named resolves (or an
+  /// exceptional status). Runnable tasks must already be enqueued. Unless an observer
   /// is armed (tracer, faults, tenant layer, adaptive T), idle processors
   /// sleep through stretches of failed steal rounds and are credited with
   /// them in closed form, with the same virtual result.
-  RunResult run(Engine &E, Value RootFuture);
+  RunResult run(Engine &E);
 
   unsigned numProcessors() const {
     return static_cast<unsigned>(Procs.size());
@@ -210,7 +213,7 @@ private:
 
   /// Credits every sleeping processor with the failed rounds it would
   /// have run before the step keyed (\p H, \p B), then wakes it.
-  void wakeAll(Engine &E, uint64_t H, unsigned B);
+  void wakeAll(uint64_t H, unsigned B);
 
   /// A sleeping processor and the cost of one of its failed rounds (the
   /// round also pays cost::IdleTick; every probe fails).

@@ -68,13 +68,10 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
       else
         S.Steps.DispatchSuspCycles += StepShare;
     }
-    ++S.Dispatches;
     ++P.Dispatches;
     ++P.TasksStarted;
-    if (Stolen) {
-      ++S.Steals;
+    if (Stolen)
       ++P.Steals;
-    }
     T->State = TaskState::Running;
     T->LastProc = P.Id;
     Cycles = 0;
@@ -115,8 +112,6 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
     // looked at) but comes back empty-handed, preserving the
     // Steals + StealsFailed == StealAttempts identity.
     if (E.faults().armed() && E.faults().shouldFailSteal()) {
-      ++S.StealAttempts;
-      ++S.StealsFailed;
       ++P.StealAttempts;
       ++P.StealsFailed;
       Cycles += cost::QueueLockHold;
@@ -127,7 +122,6 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
       return InvalidTask;
     }
     for (;;) {
-      ++S.StealAttempts;
       ++P.StealAttempts;
       uint64_t Arrival = 0;
       TaskId Id =
@@ -137,7 +131,6 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
               : Victim.Queues.stealSuspended(P.Clock + Cycles, Cycles,
                                              M.stealOrder(), &Arrival);
       if (Id == InvalidTask) {
-        ++S.StealsFailed;
         ++P.StealsFailed;
         if (Tr.enabled())
           Tr.record(TraceEventKind::StealAttempt, P.Id, P.Clock + Cycles,
@@ -156,8 +149,7 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
                     1);
         return Got;
       }
-      ++S.StealsFailed; // popped a task the vet parked or dropped
-      ++P.StealsFailed;
+      ++P.StealsFailed; // popped a task the vet parked or dropped
       if (Tr.enabled())
         Tr.record(TraceEventKind::StealAttempt, P.Id, P.Clock + Cycles,
                   Victim.Id, 0);
@@ -197,7 +189,6 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
       Task &T = E.task(R.NewTask);
       T.State = TaskState::Running;
       T.LastProc = P.Id;
-      ++S.Dispatches;
       ++P.Dispatches;
       ++P.TasksStarted;
       if (Tr.enabled())

@@ -74,7 +74,6 @@ StepOutcome interpretSwitch(Engine &E, Processor &P, Task &T,
     const Insn &I = T.CurCode->Insns[T.Pc];
     P.charge(opBaseCost(I.Opcode));
     ++P.Instructions;
-    ++S.Instructions;
     uint32_t Base = T.Frames.back().Base;
 
     switch (I.Opcode) {
@@ -212,7 +211,6 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
     DI = &DC->Stream[T.Pc];
     P.charge(DI->Cost);
     ++P.Instructions;
-    ++S.Instructions;
     Base = T.Frames.back().Base;
     goto *const_cast<void *>(DI->Handler);
   }

@@ -494,6 +494,136 @@ TEST(MetricsTest, ReportMatchesCountersAndTrace) {
       << Text;
 }
 
+/// The run totals EngineStats publishes are the processors' counters
+/// summed, whatever way the run ended.
+void expectRunTotalsArePerProcessorSums(Engine &E, const std::string &What) {
+  EngineStats Sum;
+  for (unsigned I = 0; I < E.machine().numProcessors(); ++I) {
+    const Processor &P = E.machine().processor(I);
+    Sum.Instructions += P.Instructions;
+    Sum.IdleCycles += P.IdleCycles;
+    Sum.Dispatches += P.Dispatches;
+    Sum.Steals += P.Steals;
+    Sum.StealAttempts += P.StealAttempts;
+    Sum.StealsFailed += P.StealsFailed;
+    Sum.CheckpointsTaken += P.CheckpointsTaken;
+  }
+  const EngineStats &S = E.stats();
+  EXPECT_GT(S.Instructions, 0u) << What;
+  EXPECT_EQ(S.Instructions, Sum.Instructions) << What;
+  EXPECT_EQ(S.IdleCycles, Sum.IdleCycles) << What;
+  EXPECT_EQ(S.Dispatches, Sum.Dispatches) << What;
+  EXPECT_EQ(S.Steals, Sum.Steals) << What;
+  EXPECT_EQ(S.StealAttempts, Sum.StealAttempts) << What;
+  EXPECT_EQ(S.StealsFailed, Sum.StealsFailed) << What;
+  EXPECT_EQ(S.CheckpointsTaken, Sum.CheckpointsTaken) << What;
+}
+
+TEST(MetricsTest, RunTotalsAreProcessorSumsOnEveryExit) {
+  const char *Spawn = R"lisp(
+    (define (spawn n)
+      (if (= n 0) '()
+          (cons (future (let loop ((i 0))
+                          (if (= i 400) (* n n) (loop (+ i 1)))))
+                (spawn (- n 1)))))
+    (define (drain l acc)
+      (if (null? l) acc (drain (cdr l) (+ acc (touch (car l))))))
+    (define (build n) (if (= n 0) '() (cons n (build (- n 1)))))
+    (define (spawn-build n)
+      (if (= n 0) '() (cons (future (build 300)) (spawn-build (- n 1)))))
+  )lisp";
+  struct Case {
+    const char *Name;
+    void (*Tune)(EngineConfig &);
+    const char *Program; ///< one form: one measured run
+    EvalResult::Kind Kind;
+    bool RootStopped; ///< the run ended on a stopped root group
+  };
+  const Case Cases[] = {
+      {"completed", [](EngineConfig &) {}, "(drain (spawn 24) 0)",
+       EvalResult::Kind::Value, false},
+      {"group stopped by an error", [](EngineConfig &) {},
+       "(begin (drain (spawn 24) 0) (error \"boom\"))",
+       EvalResult::Kind::RuntimeError, true},
+      {"deadlock",
+       [](EngineConfig &C) { C.InlineThreshold = 0; },
+       "(let ((x (make-semaphore)))"
+       "  (let ((f (future (begin (semaphore-p x) 7))))"
+       "    (semaphore-v x) (touch f)))",
+       EvalResult::Kind::Deadlock, false},
+      {"heap exhausted",
+       [](EngineConfig &C) {
+         C.HeapWords = 1 << 13;
+         C.ChunkWords = 1024; // the survivors overflow the collectors' chunks
+       },
+       "(map touch (spawn-build 40))", EvalResult::Kind::HeapExhausted,
+       false},
+      {"group stopped by heap exhaustion",
+       [](EngineConfig &C) {
+         C.NumProcessors = 1;
+         C.HeapWords = 1 << 12;
+         C.ChunkWords = 256;
+         C.LargeObjectWords = 256;
+       },
+       "(define keep (build 5000))", EvalResult::Kind::HeapExhausted, true},
+      {"cycle limit",
+       [](EngineConfig &C) { C.MaxRunCycles = 200000; },
+       "(begin (spawn 24) (let loop () (loop)))",
+       EvalResult::Kind::CycleLimit, false},
+      {"watchdog",
+       [](EngineConfig &C) { C.MaxCycles = 200000; },
+       "(begin (spawn 24) (let loop () (loop)))",
+       EvalResult::Kind::RuntimeError, true},
+  };
+  for (const Case &K : Cases) {
+    EngineConfig C = config(4);
+    C.CheckpointEvery = 2000;
+    K.Tune(C);
+    Engine E(C);
+    evalOk(E, Spawn);
+    E.resetStats();
+    EvalResult R = E.eval(K.Program);
+    ASSERT_EQ(static_cast<int>(R.K), static_cast<int>(K.Kind))
+        << K.Name << ": " << R.Error;
+    EXPECT_EQ(R.StoppedGroup != InvalidGroup, K.RootStopped) << K.Name;
+    expectRunTotalsArePerProcessorSums(E, K.Name);
+    if (K.Kind == EvalResult::Kind::Value) {
+      // This run moves every counter, so none of the identities above
+      // compares zero with zero.
+      EXPECT_GT(E.stats().Dispatches, 0u);
+      EXPECT_GT(E.stats().Steals, 0u);
+      EXPECT_GT(E.stats().StealsFailed, 0u);
+      EXPECT_GT(E.stats().IdleCycles, 0u);
+      EXPECT_GT(E.stats().CheckpointsTaken, 0u);
+    }
+    // runTopLevel records the run's reported elapsed time as the one
+    // eval-request sample since the reset.
+    LatencyHistogram Req =
+        E.telemetry().merged(E.telemetryIds().EvalRequest);
+    EXPECT_EQ(Req.count(), 1u) << K.Name;
+    EXPECT_EQ(E.stats().ElapsedCycles, Req.sum()) << K.Name;
+  }
+
+  // A multi-group run ends through the same exit.
+  EngineConfig C = config(4);
+  C.CheckpointEvery = 2000;
+  Engine E(C);
+  evalOk(E, Spawn);
+  E.resetStats();
+  std::vector<GroupLaunch> L(3);
+  L[0].Source = "(drain (spawn 24) 0)";
+  L[1].Source = "(drain (spawn 12) 0)";
+  L[2].Source = "(error \"boom\")";
+  std::vector<EvalResult> R = E.evalGroups(L);
+  ASSERT_EQ(R.size(), 3u);
+  EXPECT_TRUE(R[0].ok()) << R[0].Error;
+  EXPECT_TRUE(R[1].ok()) << R[1].Error;
+  EXPECT_EQ(static_cast<int>(R[2].K),
+            static_cast<int>(EvalResult::Kind::RuntimeError));
+  expectRunTotalsArePerProcessorSums(E, "evalGroups");
+  EXPECT_GT(E.stats().ElapsedCycles, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Group-stop vetting (the dispatch-side bugfix paths)
 //===----------------------------------------------------------------------===//
