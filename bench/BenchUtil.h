@@ -40,29 +40,15 @@ using namespace mult;
 ///   MULT_TRACE_DIR=D   write D/<tag>.trace.json per traced run
 ///   MULT_TRACE_MODE=M  trace sink: unbounded (default), ring:N, or
 ///                      stream[:PATH] (see Tracer::configureSink)
-///   MULT_FAULTS=SPEC   arm the deterministic fault injector for every
-///                      run (picked up by the Engine itself; see
-///                      fault/FaultPlan.h for the spec grammar). With
-///                      MULT_METRICS also set, one machine-parseable
-///                      ";; fault-metrics: <tag> <name> <n>" line is
-///                      printed per robustness counter per run.
-///   MULT_CHECKPOINT=N  arm the checkpointed-recovery policy (capture a
-///                      whole task's resumable state every N busy
-///                      cycles; picked up by the Engine itself). Changes
-///                      virtual time, so like MULT_FAULTS it must stay
-///                      off for golden runs; with MULT_METRICS and
-///                      MULT_FAULTS set, checkpoint counters join the
-///                      ";; fault-metrics:" lines
 ///   MULT_ADAPTIVE_T=1  switch every run from the static inlining
 ///                      threshold to the per-processor adaptive
 ///                      controller (sched/Adaptive.h); the static T
 ///                      passed by the bench becomes the starting point
-///   MULT_SITE_POLICIES=F  load per-future-site policies from F (picked
-///                      up by the Engine itself; see :profile FILE)
-///   MULT_TELEMETRY=prom:PATH|json:PATH  export the always-on telemetry
-///                      registry (counters, gauges, latency histograms)
-///                      when the engine is destroyed. Recording itself
-///                      needs no switch; this only chooses an export.
+///
+/// The Engine reads nine more switches itself (MULT_FAULTS, MULT_QUOTA,
+/// ...): see the table in src/core/EnvTable.cpp or the REPL's `:help`.
+/// With MULT_METRICS, an armed fault plan or tenant layer adds
+/// ";; fault-metrics:" / ";; tenant-metrics:" lines per run.
 ///
 /// Always printed per run (no switch): one ";; host: <tag> ..." line of
 /// host wall-clock phase times and the derived ns-per-proc-cycle (and

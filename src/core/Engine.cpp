@@ -54,14 +54,13 @@ static AdaptiveTConfig adaptiveConfig(const EngineConfig &C) {
 }
 
 Engine::Engine(const EngineConfig &Config)
-    : Cfg(Config), TheHeap(heapConfig(Config)), Syms(TheHeap),
+    : Cfg(applyEnv(Config)), TheHeap(heapConfig(Cfg)), Syms(TheHeap),
       Builder(TheHeap, Syms), Registry(TheHeap),
-      TheCompiler(Builder, Registry, compilerOptions(Config)),
-      TheGc(TheHeap, Config.NumProcessors),
-      TheMachine(Config.NumProcessors, Config.QuantumCycles,
-                 Config.MaxRunCycles, Config.StealPolicy,
-                 adaptiveConfig(Config)),
-      Rng(Config.RandomSeed), Telem(Config.NumProcessors) {
+      TheCompiler(Builder, Registry, compilerOptions(Cfg)),
+      TheGc(TheHeap, Cfg.NumProcessors),
+      TheMachine(Cfg.NumProcessors, Cfg.QuantumCycles, Cfg.MaxRunCycles,
+                 Cfg.StealPolicy, adaptiveConfig(Cfg)),
+      Rng(Cfg.RandomSeed), Telem(Cfg.NumProcessors) {
   // Well-known latency histograms, registered before any recording so
   // their ids are dense and stable. Always on: recording charges no
   // virtual time, so cycle counts are bit-identical either way.
@@ -92,60 +91,13 @@ Engine::Engine(const EngineConfig &Config)
   TelemIds.AdmissionWait = Telem.histogram(
       "admission_queue_wait_cycles",
       "virtual cycles a launch waited in the admission queue");
-  TelemetrySpec = Config.Telemetry;
-  if (TelemetrySpec.empty())
-    if (const char *Env = std::getenv("MULT_TELEMETRY"))
-      TelemetrySpec = Env;
-  if (const char *Env = std::getenv("MULT_RECOVERY"))
-    Cfg.Recovery = !(Env[0] == '0' && Env[1] == '\0') &&
-                   std::string_view(Env) != "off";
-  if (const char *Env = std::getenv("MULT_CHECKPOINT")) {
-    // A cycle interval; 0 or "off" disarms. Malformed values are ignored.
-    std::string_view EnvS(Env);
-    if (EnvS == "off") {
-      Cfg.CheckpointEvery = 0;
-    } else {
-      char *End = nullptr;
-      unsigned long long V = std::strtoull(Env, &End, 10);
-      if (End && *End == '\0' && End != Env)
-        Cfg.CheckpointEvery = V;
-      else
-        std::fprintf(stderr, "mult: ignoring MULT_CHECKPOINT: '%s' is not a "
-                             "cycle count\n",
-                     Env);
-    }
-  }
-  if (const char *Env = std::getenv("MULT_RACE"))
-    Cfg.RaceDetect = !(Env[0] == '0' && Env[1] == '\0') &&
-                     std::string_view(Env) != "off";
-  // Interpreter dispatch: an explicit config wins (the parity tests set it
-  // programmatically); Auto resolves from MULT_DISPATCH, default threaded.
   // Builds without computed goto always run the switch path.
-  {
-    DispatchMode Mode = Cfg.Dispatch;
-    if (Mode == DispatchMode::Auto) {
-      Mode = DispatchMode::Threaded;
-      if (const char *Env = std::getenv("MULT_DISPATCH")) {
-        std::string_view EnvS(Env);
-        if (EnvS == "switch")
-          Mode = DispatchMode::Switch;
-        else if (EnvS == "threaded")
-          Mode = DispatchMode::Threaded;
-        else
-          std::fprintf(stderr, "mult: ignoring MULT_DISPATCH: '%s' (want "
-                               "switch|threaded)\n",
-                       Env);
-      }
-    }
-    DispatchThreadedOn =
-        Mode == DispatchMode::Threaded && threadedLabels() != nullptr;
-  }
-  TheTracer.setEnabled(Config.EnableTracing);
-  if (!Config.TraceSink.empty()) {
-    std::string Err;
-    if (!TheTracer.configureSink(Config.TraceSink, Err))
-      std::fprintf(stderr, "mult: ignoring TraceSink: %s\n", Err.c_str());
-  }
+  DispatchThreadedOn =
+      Cfg.Dispatch != DispatchMode::Switch && threadedLabels() != nullptr;
+  std::string Err;
+  TheTracer.setEnabled(Cfg.EnableTracing);
+  if (!Cfg.TraceSink.empty() && !TheTracer.configureSink(Cfg.TraceSink, Err))
+    std::fprintf(stderr, "mult: ignoring TraceSink: %s\n", Err.c_str());
   RaceDetectOn = Cfg.RaceDetect;
   if (RaceDetectOn) {
     // The checker is a stream consumer, so tracing must be on; it
@@ -159,48 +111,20 @@ Engine::Engine(const EngineConfig &Config)
   bootstrap();
   // Arm faults only after the prelude is in: a plan that fired during
   // bootstrap would make every run start from a poisoned image.
-  std::string FaultSpec = Config.Faults;
-  if (FaultSpec.empty())
-    if (const char *Env = std::getenv("MULT_FAULTS"))
-      FaultSpec = Env;
-  if (!FaultSpec.empty()) {
-    std::string Err;
-    if (!configureFaults(FaultSpec, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_FAULTS: %s\n", Err.c_str());
-  }
+  if (!Cfg.Faults.empty() && !configureFaults(Cfg.Faults, Err))
+    std::fprintf(stderr, "mult: ignoring Faults: %s\n", Err.c_str());
   // Site policies name program sites, so sites interned at bootstrap are
   // unaffected (the prelude spawns no futures); load after bootstrap to
   // mirror the fault plan's lifecycle.
-  std::string PolicyPath = Config.SitePolicies;
-  if (PolicyPath.empty())
-    if (const char *Env = std::getenv("MULT_SITE_POLICIES"))
-      PolicyPath = Env;
-  if (!PolicyPath.empty()) {
-    std::string Err;
-    if (!SitePolicyTab.loadFile(PolicyPath, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_SITE_POLICIES: %s\n",
-                   Err.c_str());
-  }
+  if (!Cfg.SitePolicies.empty() &&
+      !SitePolicyTab.loadFile(Cfg.SitePolicies, Err))
+    std::fprintf(stderr, "mult: ignoring SitePolicies: %s\n", Err.c_str());
   // Tenant fault domains arm after bootstrap like the fault plan, so the
   // prelude's internal groups are never metered.
   QuotaShards.assign(Cfg.NumProcessors, {});
-  if (Cfg.GroupHeapQuotaWords || Cfg.GroupCycleBudget || Cfg.MaxLiveGroups ||
-      Cfg.MaxQueuedGroups)
-    TenantOn = true;
-  if (const char *Env = std::getenv("MULT_QUOTA")) {
-    std::string Err;
-    if (!configureQuota(Env, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_QUOTA: %s\n", Err.c_str());
-  }
-  std::string SuperSpec = Config.Supervise;
-  if (SuperSpec.empty())
-    if (const char *Env = std::getenv("MULT_SUPERVISE"))
-      SuperSpec = Env;
-  if (!SuperSpec.empty()) {
-    std::string Err;
-    if (!configureSupervisor(SuperSpec, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_SUPERVISE: %s\n", Err.c_str());
-  }
+  if (!Cfg.Supervise.empty() && !configureSupervisor(Cfg.Supervise, Err))
+    std::fprintf(stderr, "mult: ignoring Supervise: %s\n", Err.c_str());
+  refreshTenantArmed();
 }
 
 bool Engine::configureSitePolicies(std::string_view Text, std::string &Err) {
@@ -313,11 +237,9 @@ void Engine::noteFault(Processor &P, FaultKind Kind, uint64_t Detail) {
 }
 
 Engine::~Engine() {
-  if (!TelemetrySpec.empty()) {
-    std::string Err;
-    if (!exportTelemetrySpec(Telem, TelemetrySpec, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_TELEMETRY: %s\n", Err.c_str());
-  }
+  std::string Err;
+  if (!Cfg.Telemetry.empty() && !exportTelemetrySpec(Telem, Cfg.Telemetry, Err))
+    std::fprintf(stderr, "mult: ignoring Telemetry: %s\n", Err.c_str());
 }
 
 void Engine::recordTouchWait(Processor &P, uint32_t Site, uint64_t WaitCycles) {
@@ -908,96 +830,16 @@ void Engine::killGroup(GroupId Id) {
 // Tenant fault domains: quotas, supervision, admission control
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-std::string_view trimSpec(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-    S.remove_suffix(1);
-  return S;
-}
-
-bool parseSpecU64(std::string_view S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = uint64_t(C - '0');
-    if (V > (~0ull - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  Out = V;
-  return true;
-}
-
-} // namespace
-
 bool Engine::configureQuota(std::string_view Spec, std::string &Err) {
-  std::string_view S = trimSpec(Spec);
-  if (S == "off") {
-    Cfg.GroupHeapQuotaWords = 0;
-    Cfg.GroupCycleBudget = 0;
-    Cfg.MaxLiveGroups = 0;
-    Cfg.MaxQueuedGroups = 0;
-    refreshTenantArmed();
-    return true;
-  }
-  uint64_t HeapQ = Cfg.GroupHeapQuotaWords;
-  uint64_t CycleB = Cfg.GroupCycleBudget;
-  uint64_t Live = Cfg.MaxLiveGroups;
-  uint64_t Queued = Cfg.MaxQueuedGroups;
-  bool Any = false;
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Next = S.find_first_of(";,", Pos);
-    std::string_view C = trimSpec(
-        Next == std::string_view::npos ? S.substr(Pos)
-                                       : S.substr(Pos, Next - Pos));
-    if (!C.empty()) {
-      size_t Eq = C.find('=');
-      uint64_t V = 0;
-      bool Ok = Eq != std::string_view::npos &&
-                parseSpecU64(trimSpec(C.substr(Eq + 1)), V);
-      std::string_view Key =
-          Eq == std::string_view::npos ? C : trimSpec(C.substr(0, Eq));
-      if (Ok && Key == "heap") {
-        HeapQ = V;
-      } else if (Ok && Key == "cycles") {
-        CycleB = V;
-      } else if (Ok && Key == "live" && V <= 100000) {
-        Live = V;
-      } else if (Ok && Key == "queue" && V <= 100000) {
-        Queued = V;
-      } else {
-        Err = strFormat("bad quota clause '%.*s' (want heap=WORDS, "
-                        "cycles=N, live=N, queue=N, or off)",
-                        int(C.size()), C.data());
-        return false;
-      }
-      Any = true;
-    }
-    if (Next == std::string_view::npos)
-      break;
-    Pos = Next + 1;
-  }
-  if (!Any) {
-    Err = "empty quota spec";
+  if (!parseQuota(Spec, Cfg, Err))
     return false;
-  }
-  Cfg.GroupHeapQuotaWords = HeapQ;
-  Cfg.GroupCycleBudget = CycleB;
-  Cfg.MaxLiveGroups = unsigned(Live);
-  Cfg.MaxQueuedGroups = unsigned(Queued);
-  TenantOn = true;
+  // Any spec but "off" arms the layer, even one of zero limits.
+  TenantOn = SuperviseOn || trim(Spec) != "off";
   return true;
 }
 
 bool Engine::configureSupervisor(std::string_view Spec, std::string &Err) {
-  std::string_view S = trimSpec(Spec);
+  std::string_view S = trim(Spec);
   if (S == "off") {
     SuperviseOn = false;
     refreshTenantArmed();
@@ -1837,11 +1679,15 @@ Engine::RootLaunch Engine::launchRoot(Code *TopCode, std::string Banner,
   // Root closure and future (GC-safe: the closure is protected via the
   // group's RootFuture only after both allocations, so allocate the
   // future first and keep the closure in a scanned slot).
-  Object *Fut = allocOrGc(TypeTag::Future, Object::FutureSizeWords);
-  if (!Fut) {
-    L.Error = "heap exhausted allocating root future";
+  // A launch that cannot allocate ends its group at once.
+  auto Fail = [&](const char *Why) {
+    G.State = GroupState::Killed;
+    L.Error = Why;
     return L;
-  }
+  };
+  Object *Fut = allocOrGc(TypeTag::Future, Object::FutureSizeWords);
+  if (!Fut)
+    return Fail("heap exhausted allocating root future");
   Fut->setSlot(Object::FutState, Value::fixnum(0));
   Fut->setSlot(Object::FutValue, Value::unspecified());
   Fut->setSlot(Object::FutWaiters, Value::nil());
@@ -1850,10 +1696,8 @@ Engine::RootLaunch Engine::launchRoot(Code *TopCode, std::string Banner,
   G.RootFuture = Value::future(Fut);
 
   Object *Clo = allocOrGc(TypeTag::Closure, 1);
-  if (!Clo) {
-    L.Error = "heap exhausted allocating root closure";
-    return L;
-  }
+  if (!Clo)
+    return Fail("heap exhausted allocating root closure");
   Clo->setSlot(0, Registry.templateFor(TopCode));
   // Re-read the future: allocating the closure may have collected.
   Fut = G.RootFuture.pointee();
@@ -1868,6 +1712,12 @@ Engine::RootLaunch Engine::launchRoot(Code *TopCode, std::string Banner,
 }
 
 EvalResult Engine::translateRunResult(const RunResult &RR, GroupId G) {
+  // A run that ends with its root group still Running (cycle limit,
+  // deadlock, a wedged heap) abandons the group, as evalGroups does: its
+  // queued tasks must not run inside a later eval.
+  if (RR.Status != RunStatus::Completed &&
+      group(G).State == GroupState::Running)
+    killGroup(G);
   EvalResult R;
   switch (RR.Status) {
   case RunStatus::Completed:
@@ -2043,7 +1893,6 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
     if (RL.Root == InvalidTask) {
       Results[I].K = EvalResult::Kind::HeapExhausted;
       Results[I].Error = RL.Error;
-      G.State = GroupState::Killed;
       TL.Terminal = true;
       MLaunches.push_back(TL);
       continue;

@@ -43,6 +43,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -58,7 +59,7 @@ struct ThreadedLabels;
 /// choice is purely host speed (see DESIGN.md, "virtual cycles are
 /// sacred").
 enum class DispatchMode : uint8_t {
-  /// Resolve from MULT_DISPATCH (`switch` | `threaded`); default threaded.
+  /// The default: threaded.
   Auto,
   /// The portable big-switch dispatcher (the seed interpreter).
   Switch,
@@ -95,9 +96,8 @@ struct EngineConfig {
   unsigned AdaptiveHysteresis = 2;
   /// Path to a site-policy file (core/SitePolicies.h): per-future-site
   /// eager/inline/lazy decisions, typically emitted by the critical-path
-  /// profiler (`:profile FILE`). Empty falls back to the
-  /// MULT_SITE_POLICIES environment variable; load errors are reported to
-  /// stderr at construction and the table stays empty.
+  /// profiler (`:profile FILE`). Load errors are reported to stderr at
+  /// construction and the table stays empty.
   std::string SitePolicies;
   /// Compile implicit touches for strict operations. false = "T3 mode",
   /// the sequential baseline of Table 2.
@@ -136,9 +136,8 @@ struct EngineConfig {
   /// at construction and the default unbounded sink is kept.
   std::string TraceSink;
   /// Deterministic fault-plan spec (see FaultPlan.h for the grammar).
-  /// Empty falls back to the MULT_FAULTS environment variable; malformed
-  /// specs are reported to stderr at construction and ignored. The plan
-  /// arms after bootstrap, so the prelude always loads cleanly.
+  /// Malformed specs are reported to stderr at construction and ignored.
+  /// The plan arms after bootstrap, so the prelude always loads cleanly.
   std::string Faults;
   /// Lineage-based task recovery after a proc-kill fault: lost futures
   /// with no observed side effects are re-spawned on survivors. When off
@@ -155,15 +154,13 @@ struct EngineConfig {
   /// 0 = off (PR 5 spawn-replay semantics, bit-identical).
   uint64_t CheckpointEvery = 0;
   /// Telemetry export spec: "prom:PATH" (Prometheus text exposition) or
-  /// "json:PATH", written when the engine is destroyed. Empty falls back
-  /// to the MULT_TELEMETRY environment variable; empty both ways means
-  /// no export (the registry still records -- recording is always on and
+  /// "json:PATH", written when the engine is destroyed. Empty means no
+  /// export (the registry still records -- recording is always on and
   /// costs no virtual time). When several engines share a path, the last
   /// one destroyed wins.
   std::string Telemetry;
-  /// Interpreter dispatch mechanism. Auto resolves from the MULT_DISPATCH
-  /// environment variable; an explicit Switch/Threaded here wins over the
-  /// environment (the parity tests set both programmatically).
+  /// Interpreter dispatch mechanism (the parity tests set both modes
+  /// programmatically).
   DispatchMode Dispatch = DispatchMode::Auto;
   /// Determinacy-race detection (src/analysis, MULT_RACE): instrument
   /// box/vector/dynamic-env accesses with trace events and run the online
@@ -175,8 +172,8 @@ struct EngineConfig {
 
   /// \name Tenant fault domains (core/Supervisor.h; DESIGN.md "Tenant
   /// fault domains"). All dormant (bit-identical schedules) unless one of
-  /// these fields, MULT_QUOTA / MULT_SUPERVISE, `:quota` / `:supervise`,
-  /// a quota-squeeze fault clause, or an evalGroups launch arms the layer.
+  /// these fields, `:quota` / `:supervise`, a quota-squeeze fault clause,
+  /// or an evalGroups launch arms the layer.
   /// @{
   /// Default per-group live-words heap quota applied to every new
   /// non-internal group; 0 = unlimited.
@@ -189,11 +186,40 @@ struct EngineConfig {
   unsigned MaxLiveGroups = 0;
   unsigned MaxQueuedGroups = 0;
   /// Default supervision policy spec ("one-shot" | "escalate" |
-  /// "restart[:max=N,backoff=B]"). Empty falls back to MULT_SUPERVISE;
-  /// empty both ways leaves the supervisor off.
+  /// "restart[:max=N,backoff=B]"). Empty leaves the supervisor off.
   std::string Supervise;
   /// @}
 };
+
+/// One MULT_* environment switch: a row of the one table the Engine reads
+/// (core/EnvTable.cpp; `:help` prints it). One rule covers every row: the
+/// variable fills a field the code left at its default, so a field the
+/// caller set wins. Engine::Engine applies the table once, before anything
+/// reads the configuration, so Engine::config() shows what it runs with.
+struct EnvSwitch {
+  const char *Name;
+  /// One line for `:help`: the accepted values and what they set.
+  const char *Doc;
+  /// True while \p C holds the default of every field Set writes.
+  bool (*AtDefault)(const EngineConfig &C);
+  /// Parses \p Value into \p C. False (and \p Err set) on a malformed
+  /// value; \p C is then unchanged.
+  bool (*Set)(std::string_view Value, EngineConfig &C, std::string &Err);
+};
+
+/// Every switch the Engine reads, in `:help` order.
+std::span<const EnvSwitch> envSwitches();
+
+/// \p C with every set variable of the table applied to the fields \p C
+/// left at their defaults. A malformed value is reported to stderr as
+/// `mult: ignoring MULT_X='VALUE': reason` and leaves its field alone.
+EngineConfig applyEnv(EngineConfig C);
+
+/// Parses quota clauses separated by ';' or ',' -- `heap=WORDS`,
+/// `cycles=N`, `live=N`, `queue=N` -- onto the four quota fields of \p C;
+/// "off" zeroes all four. False (and \p Err set) on a malformed spec;
+/// \p C is then unchanged. MULT_QUOTA and the REPL's `:quota` share it.
+bool parseQuota(std::string_view Spec, EngineConfig &C, std::string &Err);
 
 /// Result of Engine::eval and friends.
 struct EvalResult {
@@ -394,10 +420,9 @@ public:
   /// @{
   /// True once quotas/budgets/admission/supervision are armed.
   bool tenantArmed() const { return TenantOn; }
-  /// (Re)configures quota defaults and the admission gate from
-  /// semicolon/comma-separated clauses: `heap=WORDS`, `cycles=N`,
-  /// `live=N`, `queue=N`; "off" disarms (the supervisor, if armed, keeps
-  /// the layer on). False (and \p Err) on a malformed spec; the previous
+  /// (Re)configures quota defaults and the admission gate (parseQuota
+  /// grammar); "off" disarms (the supervisor, if armed, keeps the layer
+  /// on). False (and \p Err) on a malformed spec; the previous
   /// configuration is kept then.
   bool configureQuota(std::string_view Spec, std::string &Err);
   /// (Re)configures the default supervision policy (Supervisor::parsePolicy
@@ -492,7 +517,7 @@ public:
 
   /// \name Determinacy-race detection (src/analysis)
   /// @{
-  /// True when EngineConfig::RaceDetect / MULT_RACE armed the detector.
+  /// True when EngineConfig::RaceDetect armed the detector.
   bool raceDetectEnabled() const { return RaceDetectOn; }
   /// The online checker attached to the tracer; null when detection is
   /// off.
@@ -652,14 +677,13 @@ private:
   };
   std::vector<PendingGcKill> PendingGcKills;
 
-  // Always-on latency telemetry. TelemetrySpec is the resolved export
-  // destination (config or MULT_TELEMETRY), written by the destructor.
-  // SiteTouchHists maps future-site ids to their labeled touch-wait
-  // child histograms, registered on a site's first blocked touch.
+  // Always-on latency telemetry, exported by the destructor to
+  // Cfg.Telemetry. SiteTouchHists maps future-site ids to their labeled
+  // touch-wait child histograms, registered on a site's first blocked
+  // touch.
   Telemetry Telem;
   TelemetryIds TelemIds;
   std::vector<Telemetry::Id> SiteTouchHists;
-  std::string TelemetrySpec;
 
   // Determinacy-race detection (null/empty unless RaceDetect is on).
   std::unique_ptr<RaceDetector> RaceDet;

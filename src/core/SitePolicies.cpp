@@ -42,26 +42,12 @@ std::string SitePolicyTable::format() const {
   return Out;
 }
 
-static std::string_view trimWs(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t' ||
-                        S.front() == '\r'))
-    S.remove_prefix(1);
-  while (!S.empty() &&
-         (S.back() == ' ' || S.back() == '\t' || S.back() == '\r'))
-    S.remove_suffix(1);
-  return S;
-}
-
 bool SitePolicyTable::parse(std::string_view Text, std::string &Err) {
   Policies.clear();
   size_t LineNo = 0;
-  while (!Text.empty()) {
+  for (std::string_view Raw : splitOn(Text, "\n")) {
     ++LineNo;
-    size_t Nl = Text.find('\n');
-    std::string_view Line =
-        Nl == std::string_view::npos ? Text : Text.substr(0, Nl);
-    Text.remove_prefix(Nl == std::string_view::npos ? Text.size() : Nl + 1);
-    Line = trimWs(Line);
+    std::string_view Line = trim(Raw);
     if (Line.empty() || Line.front() == ';')
       continue;
     // "site <name> <policy>"
@@ -71,15 +57,15 @@ bool SitePolicyTable::parse(std::string_view Text, std::string &Err) {
       Policies.clear();
       return false;
     }
-    std::string_view Rest = trimWs(Line.substr(Sp1 + 1));
+    std::string_view Rest = trim(Line.substr(Sp1 + 1));
     size_t Sp2 = Rest.rfind(' ');
     if (Sp2 == std::string_view::npos) {
       Err = strFormat("line %zu: missing policy", LineNo);
       Policies.clear();
       return false;
     }
-    std::string_view Site = trimWs(Rest.substr(0, Sp2));
-    std::string_view Pol = trimWs(Rest.substr(Sp2 + 1));
+    std::string_view Site = trim(Rest.substr(0, Sp2));
+    std::string_view Pol = trim(Rest.substr(Sp2 + 1));
     SitePolicy P;
     if (Pol == "eager")
       P = SitePolicy::Eager;

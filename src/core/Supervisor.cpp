@@ -16,30 +16,6 @@ using namespace mult;
 
 namespace {
 
-std::string_view trim(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-    S.remove_suffix(1);
-  return S;
-}
-
-bool parseU64(std::string_view S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = uint64_t(C - '0');
-    if (V > (~0ull - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  Out = V;
-  return true;
-}
-
 /// The condition's class: everything before the first ':' ("group-heap-quota",
 /// "processor-lost", ...). Keeps clock-bearing detail text out of the
 /// transcript so it stays stable across processor counts.
@@ -77,32 +53,23 @@ bool Supervisor::parsePolicy(std::string_view Spec, Policy &Out,
     return false;
   }
   P.K = Policy::Kind::Restart;
-  size_t Pos = 0;
-  while (Pos <= Opts.size() && !Opts.empty()) {
-    size_t Next = Opts.find(',', Pos);
-    std::string_view Clause =
-        trim(Next == std::string_view::npos ? Opts.substr(Pos)
-                                            : Opts.substr(Pos, Next - Pos));
-    if (!Clause.empty()) {
-      size_t Eq = Clause.find('=');
-      uint64_t V = 0;
-      bool Ok = Eq != std::string_view::npos &&
-                parseU64(trim(Clause.substr(Eq + 1)), V);
-      std::string_view Key =
-          Eq == std::string_view::npos ? Clause : trim(Clause.substr(0, Eq));
-      if (Ok && Key == "max" && V <= 1000) {
-        P.MaxRestarts = unsigned(V);
-      } else if (Ok && Key == "backoff" && V > 0) {
-        P.BackoffBase = V;
-      } else {
-        Err = strFormat("bad restart option '%.*s'", int(Clause.size()),
-                        Clause.data());
-        return false;
-      }
+  for (std::string_view Part : splitOn(Opts, ",")) {
+    std::string_view Clause = trim(Part);
+    if (Clause.empty())
+      continue;
+    size_t Eq = Clause.find('=');
+    std::string_view Key = trim(Clause.substr(0, Eq));
+    uint64_t V = 0;
+    bool Ok = Eq != Clause.npos && parseU64(trim(Clause.substr(Eq + 1)), V);
+    if (Ok && Key == "max" && V <= 1000) {
+      P.MaxRestarts = unsigned(V);
+    } else if (Ok && Key == "backoff" && V > 0) {
+      P.BackoffBase = V;
+    } else {
+      Err = strFormat("bad restart option '%.*s'", int(Clause.size()),
+                      Clause.data());
+      return false;
     }
-    if (Next == std::string_view::npos)
-      break;
-    Pos = Next + 1;
   }
   Out = P;
   return true;

@@ -72,47 +72,8 @@ std::string joinList(const std::vector<uint64_t> &V) {
   return S;
 }
 
-std::vector<std::string_view> splitOn(std::string_view S, char Sep) {
-  std::vector<std::string_view> Parts;
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Next = S.find(Sep, Pos);
-    if (Next == std::string_view::npos) {
-      Parts.push_back(S.substr(Pos));
-      break;
-    }
-    Parts.push_back(S.substr(Pos, Next - Pos));
-    Pos = Next + 1;
-  }
-  return Parts;
-}
-
-std::string_view trim(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-    S.remove_suffix(1);
-  return S;
-}
-
-bool parseU64(std::string_view S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = uint64_t(C - '0');
-    if (V > (~0ull - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  Out = V;
-  return true;
-}
-
 bool parseU64List(std::string_view S, std::vector<uint64_t> &Out) {
-  for (std::string_view Part : splitOn(S, ',')) {
+  for (std::string_view Part : splitOn(S, ",")) {
     uint64_t V;
     if (!parseU64(trim(Part), V))
       return false;
@@ -276,7 +237,7 @@ std::string FaultPlan::format() const {
 
 bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
   Out = FaultPlan();
-  for (std::string_view RawClause : splitOn(Spec, ';')) {
+  for (std::string_view RawClause : splitOn(Spec, ";")) {
     std::string_view C = trim(RawClause);
     if (C.empty())
       continue;
@@ -319,7 +280,7 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
         Out.QueueCap = uint32_t(Cap);
     } else if (Key == "stall") {
       Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
+      for (std::string_view Part : splitOn(Val, ",")) {
         StallWindow W;
         if (!parseStall(trim(Part), W)) {
           Ok = false;
@@ -329,7 +290,7 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
       }
     } else if (Key == "adapt-clamp") {
       Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
+      for (std::string_view Part : splitOn(Val, ",")) {
         AdaptClampAt A;
         if (!parseAdaptClamp(trim(Part), A)) {
           Ok = false;
@@ -343,7 +304,7 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
                            0ull) == Out.AdaptResetAt.end();
     } else if (Key == "proc-kill") {
       Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
+      for (std::string_view Part : splitOn(Val, ",")) {
         ProcKillAt K;
         if (!parseProcKill(trim(Part), K)) {
           Ok = false;
@@ -353,7 +314,7 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
       }
     } else if (Key == "quota-squeeze") {
       Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
+      for (std::string_view Part : splitOn(Val, ",")) {
         ProcKillAt Q; // G@C: the Proc field carries the group id
         if (!parseProcKill(trim(Part), Q)) {
           Ok = false;
@@ -363,7 +324,7 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
       }
     } else if (Key == "admit-burst") {
       Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
+      for (std::string_view Part : splitOn(Val, ",")) {
         ProcKillAt B; // N@C: the Proc field carries the burst size
         if (!parseProcKill(trim(Part), B) || B.Proc == 0) {
           Ok = false;

@@ -409,33 +409,32 @@ void mult::exportJson(OutStream &OS, const Telemetry &T) {
   OS << "}\n}\n";
 }
 
-bool mult::exportTelemetrySpec(const Telemetry &T, std::string_view Spec,
-                               std::string &Err) {
-  std::string_view Path;
-  bool Prom;
-  if (Spec.substr(0, 5) == "prom:") {
-    Prom = true;
-    Path = Spec.substr(5);
-  } else if (Spec.substr(0, 5) == "json:") {
-    Prom = false;
-    Path = Spec.substr(5);
-  } else {
+bool mult::checkTelemetrySpec(std::string_view Spec, std::string &Err) {
+  std::string_view Kind = Spec.substr(0, 5);
+  if (Kind != "prom:" && Kind != "json:") {
     Err = "bad telemetry spec '" + std::string(Spec) +
           "' (want prom:PATH or json:PATH)";
     return false;
   }
-  if (Path.empty()) {
+  if (Spec.size() == Kind.size()) {
     Err = "telemetry spec '" + std::string(Spec) + "' names no file";
     return false;
   }
-  std::string PathS(Path);
+  return true;
+}
+
+bool mult::exportTelemetrySpec(const Telemetry &T, std::string_view Spec,
+                               std::string &Err) {
+  if (!checkTelemetrySpec(Spec, Err))
+    return false;
+  std::string PathS(Spec.substr(5));
   FILE *F = std::fopen(PathS.c_str(), "w");
   if (!F) {
     Err = "cannot open telemetry file " + PathS;
     return false;
   }
   FileOutStream FS(F);
-  if (Prom)
+  if (Spec[0] == 'p')
     exportPrometheus(FS, T);
   else
     exportJson(FS, T);

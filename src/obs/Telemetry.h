@@ -259,8 +259,10 @@ void dumpHistogramIndex(OutStream &OS, const Telemetry &T);
 void exportPrometheus(OutStream &OS, const Telemetry &T);
 /// The same content as a single JSON object.
 void exportJson(OutStream &OS, const Telemetry &T);
-/// Parses \p Spec ("prom:PATH" or "json:PATH", the MULT_TELEMETRY
-/// grammar) and writes the export. False (and \p Err set) on a bad spec
+/// Checks \p Spec against the export grammar: "prom:PATH" or "json:PATH".
+/// False (and \p Err set) on a bad spec.
+bool checkTelemetrySpec(std::string_view Spec, std::string &Err);
+/// Writes the export \p Spec names. False (and \p Err set) on a bad spec
 /// or unwritable path.
 bool exportTelemetrySpec(const Telemetry &T, std::string_view Spec,
                          std::string &Err);

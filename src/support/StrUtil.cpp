@@ -40,3 +40,37 @@ bool mult::isAllWhitespace(std::string_view S) {
       return false;
   return true;
 }
+
+std::vector<std::string_view> mult::splitOn(std::string_view S,
+                                            std::string_view Seps) {
+  std::vector<std::string_view> Parts;
+  size_t Pos = 0;
+  for (size_t Next; (Next = S.find_first_of(Seps, Pos)) != S.npos;
+       Pos = Next + 1)
+    Parts.push_back(S.substr(Pos, Next - Pos));
+  Parts.push_back(S.substr(Pos));
+  return Parts;
+}
+
+std::string_view mult::trim(std::string_view S) {
+  size_t Begin = S.find_first_not_of(" \t\r");
+  if (Begin == S.npos)
+    return {};
+  return S.substr(Begin, S.find_last_not_of(" \t\r") - Begin + 1);
+}
+
+bool mult::parseU64(std::string_view S, uint64_t &Out) {
+  if (S.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t Digit = uint64_t(C - '0');
+    if (V > (~0ull - Digit) / 10)
+      return false;
+    V = V * 10 + Digit;
+  }
+  Out = V;
+  return true;
+}

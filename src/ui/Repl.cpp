@@ -130,13 +130,11 @@ void Repl::cmdHelp() {
          "  :stats           execution statistics and metrics report\n"
          "                   (latency percentiles are always on)\n"
          "  :histo [NAME]    latency histogram index, or one histogram's\n"
-         "                   full log2 buckets (e.g. :histo touch-wait);\n"
-         "                   MULT_TELEMETRY=prom:PATH|json:PATH exports\n"
-         "                   everything at exit\n"
+         "                   full log2 buckets (e.g. :histo touch-wait)\n"
          "  :procs           per-processor liveness, clocks and queue\n"
          "                   depths (dead = fail-stopped by proc-kill)\n"
          "  :races           determinacy races found so far (needs the\n"
-         "                   detector: MULT_RACE=1 or RaceDetect config)\n"
+         "                   detector; see MULT_RACE below)\n"
          "  :trace on|off    toggle the virtual-time event tracer\n"
          "  :trace ring:N|stream[:PATH]|unbounded\n"
          "                   choose the trace sink (stream writes binary\n"
@@ -160,7 +158,11 @@ void Repl::cmdHelp() {
          "                   restart[:max=N,backoff=B], like\n"
          "                   MULT_SUPERVISE), or disarm the supervisor\n"
          "  :exit            leave the REPL\n"
-         "anything else evaluates as a Mul-T expression (its own group)\n";
+         "anything else evaluates as a Mul-T expression (its own group)\n"
+         "environment: read once when the engine starts; a variable fills\n"
+         "its config field only where the code left the default\n";
+  for (const EnvSwitch &S : envSwitches())
+    Out << strFormat("  %-19s%s\n", S.Name, S.Doc);
 }
 
 void Repl::cmdGroups() {

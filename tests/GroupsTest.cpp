@@ -171,6 +171,65 @@ TEST(GroupsTest, TouchOfAKilledGroupsFutureStops) {
   EXPECT_EQ(evalFixnum(E, "(+ 2 3)"), 5);
 }
 
+TEST(GroupsTest, AbandonedRunEndsItsGroup) {
+  // A top-level eval cut off by the cycle limit leaves spawned tasks in the
+  // processor queues. Its group must end there, so none of them runs inside
+  // a later eval and bumps the counter behind the user's back.
+  EngineConfig C = config(4);
+  C.MaxRunCycles = 200'000;
+  Engine E(C);
+  evalOk(E, R"lisp(
+    (define counter 0)
+    (define (spin n) (if (= n 0) 0 (spin (- n 1))))
+    (define (work k)
+      (if (= k 0) 0
+          (begin (future (begin (spin 2000) (set! counter (+ counter 1))))
+                 (work (- k 1)))))
+  )lisp");
+  EvalResult R = E.eval("(begin (work 40) (spin 1000000))");
+  ASSERT_EQ(static_cast<int>(R.K),
+            static_cast<int>(EvalResult::Kind::CycleLimit));
+  int64_t Seen = evalFixnum(E, "counter");
+  EXPECT_LT(Seen, 40) << "the probe must leave work queued";
+  EXPECT_EQ(evalFixnum(E, "(+ 1 2)"), 3);
+  EXPECT_EQ(evalFixnum(E, "counter"), Seen);
+  const Group &Cut = E.allGroups()[E.allGroups().size() - 4];
+  EXPECT_EQ(Cut.Banner.rfind("(begin (work 40)", 0), 0u) << Cut.Banner;
+  EXPECT_EQ(Cut.State, GroupState::Killed);
+
+  for (const Group &G : E.allGroups())
+    EXPECT_NE(G.State, GroupState::Running) << "group " << G.Id;
+
+  // A deadlocked run is abandoned the same way (the paper's semaphore
+  // example: the inlined future blocks before the V).
+  C.InlineThreshold = 0;
+  Engine D(C);
+  R = D.eval("(let ((x (make-semaphore)))"
+             "  (let ((f (future (begin (semaphore-p x) 7))))"
+             "    (semaphore-v x) (touch f)))");
+  ASSERT_EQ(static_cast<int>(R.K),
+            static_cast<int>(EvalResult::Kind::Deadlock));
+  EXPECT_EQ(D.allGroups().back().State, GroupState::Killed);
+}
+
+TEST(GroupsTest, FailedLaunchEndsItsGroup) {
+  // A heap too small for the root future: the eval fails before any task
+  // exists, and its group is over, not Running forever.
+  EngineConfig C = config(1);
+  C.LoadPrelude = false;
+  C.HeapWords = C.ChunkWords = C.LargeObjectWords = 4;
+  Engine E(C);
+  for (int I = 0; I < 3; ++I) {
+    EvalResult R = E.eval("(+ 1 2)");
+    ASSERT_EQ(static_cast<int>(R.K),
+              static_cast<int>(EvalResult::Kind::HeapExhausted));
+    EXPECT_EQ(R.Error, "heap exhausted allocating root future");
+  }
+  ASSERT_EQ(E.allGroups().size(), 3u);
+  for (const Group &G : E.allGroups())
+    EXPECT_EQ(G.State, GroupState::Killed) << "group " << G.Id;
+}
+
 TEST(GroupsTest, BacktraceNamesTheFrames) {
   Engine E(config(1));
   EvalResult R = E.eval(R"lisp(

@@ -37,6 +37,9 @@ struct MachineParam {
   }
 };
 
+/// Test ids show the parameter's name, not its (padded) object bytes.
+void PrintTo(const MachineParam &P, std::ostream *OS) { *OS << P.name(); }
+
 EngineConfig toConfig(const MachineParam &P) {
   EngineConfig C;
   C.NumProcessors = P.Procs;

@@ -115,6 +115,22 @@ def current_commit():
         return "worktree"
 
 
+def clean_env(**sets):
+    """The caller's environment minus every inherited MULT_* switch, plus
+    the non-empty switches in sets.
+
+    A stray switch would change what the benches measure: MULT_FAULTS,
+    MULT_CHECKPOINT, MULT_QUOTA, MULT_SUPERVISE and MULT_ADAPTIVE_T move
+    virtual cycles and fake a drift, and the tracing switches slow the
+    host. MULT_DISPATCH is kept: the dispatcher is the CI matrix axis and
+    both dispatchers charge identical virtual cycles.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MULT_") or k == "MULT_DISPATCH"}
+    env.update({k: v for k, v in sets.items() if v})
+    return env
+
+
 def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
                 supervise=None):
     """Run every bench with MULT_METRICS=1 and return {tag: cycles}.
@@ -129,31 +145,9 @@ def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
     the map as "<tag>~<name>" keys (histogram summaries as
     "<tag>~histo:<name>").
     """
-    env = dict(os.environ, MULT_METRICS="1")
-    # Tracing changes nothing about virtual time, but keep runs minimal
-    # and independent of the caller's environment. MULT_FAULTS *does*
-    # change virtual time, so it is stripped unless --faults asks for it:
-    # the default dashboard must measure the unmolested engine.
-    # MULT_CHECKPOINT also changes virtual time (captures are charged),
-    # so it is stripped unless --checkpoint asks for it.
-    # MULT_QUOTA/MULT_SUPERVISE change virtual time once a quota trips
-    # (stops, grace GCs), so they are stripped unless --tenant/--supervise
-    # ask for them.
-    # MULT_RACE is virtual-time-neutral too (tools/race_check.py relies
-    # on that), but it slows the host and its metrics lines are not this
-    # dashboard's input, so strip it as well.
-    for var in ("MULT_TRACE", "MULT_PROFILE", "MULT_TRACE_MODE",
-                "MULT_TRACE_DIR", "MULT_FAULTS", "MULT_CHECKPOINT",
-                "MULT_RACE", "MULT_QUOTA", "MULT_SUPERVISE"):
-        env.pop(var, None)
-    if faults:
-        env["MULT_FAULTS"] = faults
-    if checkpoint:
-        env["MULT_CHECKPOINT"] = str(checkpoint)
-    if tenant:
-        env["MULT_QUOTA"] = tenant
-    if supervise:
-        env["MULT_SUPERVISE"] = supervise
+    env = clean_env(MULT_METRICS="1", MULT_FAULTS=faults,
+                    MULT_CHECKPOINT=str(checkpoint) if checkpoint else None,
+                    MULT_QUOTA=tenant, MULT_SUPERVISE=supervise)
     tenant_armed = bool(tenant or supervise)
     cycles = {}
     for bench in BENCHES:
@@ -256,7 +250,8 @@ def run_host_bench(build_dir, runs):
     samples = {}
     for i in range(runs):
         print(f"  host run {i + 1}/{runs} ...", flush=True)
-        proc = subprocess.run([exe], capture_output=True, text=True)
+        proc = subprocess.run([exe], env=clean_env(), capture_output=True,
+                              text=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout + proc.stderr)
             fail(f"bench_dispatch exited with status {proc.returncode} "

@@ -55,6 +55,20 @@ def flag(msg):
     FAILURES.append(msg)
 
 
+def clean_env(**sets):
+    """The caller's environment minus every inherited MULT_* switch, plus
+    the non-empty switches in sets (same rule as tools/collect_metrics.py).
+
+    A stray MULT_FAULTS or MULT_ADAPTIVE_T would move virtual cycles and
+    fake a drift against the goldens. MULT_DISPATCH is kept: it is the CI
+    matrix axis, and both dispatchers charge identical virtual cycles.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MULT_") or k == "MULT_DISPATCH"}
+    env.update({k: v for k, v in sets.items() if v})
+    return env
+
+
 def run(cmd, env, stdin_text=None):
     try:
         return subprocess.run(
@@ -74,9 +88,7 @@ def run(cmd, env, stdin_text=None):
 def check_benches(build_dir, golden_path):
     with open(golden_path) as f:
         golden = json.load(f)["cycles"]
-    env = dict(os.environ)
-    env["MULT_METRICS"] = "1"
-    env["MULT_RACE"] = "1"
+    env = clean_env(MULT_METRICS="1", MULT_RACE="1")
     seen = {}
     for bench in BENCHES:
         exe = os.path.join(build_dir, "bench", bench)
@@ -126,8 +138,7 @@ def check_benches(build_dir, golden_path):
 
 def check_program(repl, path, procs):
     """Run one tests/race/*.lisp through the REPL; return (races, report_ok)."""
-    env = dict(os.environ)
-    env["MULT_RACE"] = "1"
+    env = clean_env(MULT_RACE="1")
     with open(path) as f:
         text = f.read()
     # Threshold 1000000: the engine inlines when queue depth >= threshold,
