@@ -663,8 +663,10 @@ void Engine::scanRootSegment(unsigned Segment, const RootVisitor &Visit) {
       scanTask(*Tasks[I], Visit);
     return;
   }
-  // Miscellaneous engine roots.
-  Visit(RootFuture);
+  // Miscellaneous engine roots: the run's launches first, so a collection
+  // copies their root futures before anything else.
+  for (Launch &L : Launches)
+    Visit(L.RootFuture);
   for (Group &G : Groups) {
     Visit(G.RootFuture);
     // Checkpoint records must survive collections for as long as a
@@ -707,7 +709,6 @@ void Engine::stopGroup(Processor &P, Task &T, std::string Condition,
     G.Condition = Condition;
     StoppedStack.push_back(G.Id);
   }
-  LastStopped = G.Id;
 
   // The per-processor exception-handler server task runs (paper
   // section 2.3): it coordinates with the scheduler so no other task of
@@ -731,12 +732,10 @@ void Engine::stopGroup(Processor &P, Task &T, std::string Condition,
   ++P.HandlerActivations;
   P.charge(cost::GroupStop);
   P.charge(TermLock.acquire(P.Clock, cost::TerminalLockHold));
-  // Multi-group runs: a stop is a group-termination edge the supervisor
-  // acts on (restart/give-up/escalate). Only on the Running -> Stopped
-  // transition — a sibling orphan joining an already-stopped group is not
-  // a second edge.
-  if (MultiOn && Edge)
-    onGroupTerminated(P.Id, P.Clock, G.Id);
+  // Only the Running -> Stopped transition can end a launch: a sibling
+  // orphan joining an already-stopped group is not a second edge.
+  if (Edge)
+    onGroupStopped(P.Id, P.Clock, G.Id);
 }
 
 void Engine::stopGroupRestartable(Processor &P, Task &T,
@@ -791,9 +790,7 @@ EvalResult Engine::resumeGroup(GroupId Id, Value ResumeValue) {
   StoppedStack.erase(
       std::remove(StoppedStack.begin(), StoppedStack.end(), Id),
       StoppedStack.end());
-
-  beginRun(G->RootFuture, Id);
-  return translateRunResult(TheMachine.run(*this), Id);
+  return runTopLevelLaunch(Id);
 }
 
 void Engine::killGroup(GroupId Id) {
@@ -818,12 +815,7 @@ void Engine::killGroup(GroupId Id) {
   StoppedStack.erase(
       std::remove(StoppedStack.begin(), StoppedStack.end(), Id),
       StoppedStack.end());
-  if (MultiOn) {
-    uint64_t Clock = 0;
-    for (unsigned P = 0; P < TheMachine.numProcessors(); ++P)
-      Clock = std::max(Clock, TheMachine.processor(P).Clock);
-    onGroupTerminated(0, Clock, Id);
-  }
+  finalizeLaunch(Id);
 }
 
 //===----------------------------------------------------------------------===//
@@ -936,20 +928,28 @@ bool Engine::pollTenant(Processor &P, Task &T) {
   return true;
 }
 
-void Engine::onGroupTerminated(unsigned ProcId, uint64_t Clock, GroupId Gid) {
-  TenantLaunch *L = nullptr;
-  for (TenantLaunch &Cand : MLaunches)
-    if (Cand.Gid == Gid) {
-      L = &Cand;
-      break;
-    }
-  if (!L || L->Terminal)
+Engine::Launch *Engine::openLaunch(GroupId Gid) {
+  for (Launch &L : Launches)
+    if (L.Gid == Gid && !L.Terminal)
+      return &L;
+  return nullptr;
+}
+
+namespace {
+/// True when a stop condition names a heap exhaustion.
+bool isHeapCondition(const std::string &Condition) {
+  return Condition.compare(0, 14, "heap-exhausted") == 0;
+}
+} // namespace
+
+void Engine::onGroupStopped(unsigned ProcId, uint64_t Clock, GroupId Gid) {
+  Launch *L = openLaunch(Gid);
+  if (!L)
     return;
-  // The multi-run "root" resolves when the last launch terminates; keep
-  // its clock current so ElapsedCycles measures to the final event.
-  RootClock = std::max(RootClock, Clock);
   Group &G = Groups[Gid];
-  if (G.State == GroupState::Stopped && SuperviseOn) {
+  if (isHeapCondition(G.Condition))
+    L->Heap = heapFacts();
+  if (L->Gated && SuperviseOn) {
     switch (Super.onGroupStopped(Gid, Clock, G.Banner, G.Condition)) {
     case Supervisor::Verdict::RestartScheduled:
       return; // not terminal: the launch stays outstanding until it fires
@@ -962,7 +962,7 @@ void Engine::onGroupTerminated(unsigned ProcId, uint64_t Clock, GroupId Gid) {
       break;
     case Supervisor::Verdict::Escalate:
       ++Stats.SupervisorEscalations;
-      MEscalated = true;
+      Escalated = true;
       break;
     case Supervisor::Verdict::LeaveStopped:
       break;
@@ -972,40 +972,38 @@ void Engine::onGroupTerminated(unsigned ProcId, uint64_t Clock, GroupId Gid) {
 }
 
 void Engine::finalizeLaunch(GroupId Gid) {
-  for (TenantLaunch &L : MLaunches) {
-    if (L.Gid != Gid || L.Terminal)
-      continue;
-    L.Terminal = true;
-    if (L.Admitted && MLive)
-      --MLive;
-    if (MOutstanding)
-      --MOutstanding;
-    drainAdmissions();
+  Launch *L = openLaunch(Gid);
+  if (!L)
     return;
-  }
+  L->Terminal = true;
+  if (L->Admitted && LiveLaunches)
+    --LiveLaunches;
+  if (OpenLaunches)
+    --OpenLaunches;
+  drainAdmissions();
 }
 
 void Engine::drainAdmissions() {
   // Admitting a queued launch is one queue push — the task, group and
   // future were all created at evalGroups time, so this never allocates
   // no matter how deep in the scheduler the freed slot appeared.
-  while (MQueueHead < MQueue.size() &&
-         (Cfg.MaxLiveGroups == 0 || MLive < Cfg.MaxLiveGroups)) {
-    TenantLaunch &L = MLaunches[MQueue[MQueueHead++]];
+  while (AdmitHead < AdmitQueue.size() &&
+         (Cfg.MaxLiveGroups == 0 || LiveLaunches < Cfg.MaxLiveGroups)) {
+    Launch &L = Launches[AdmitQueue[AdmitHead++]];
     if (L.Terminal)
       continue;
-    Task *T = liveTask(L.Root);
+    Task *T = liveTask(L.RootTask);
     if (!T) {
       L.Terminal = true;
-      if (MOutstanding)
-        --MOutstanding;
+      if (OpenLaunches)
+        --OpenLaunches;
       continue;
     }
     L.Admitted = true;
-    ++MLive;
+    ++LiveLaunches;
     ++Stats.GroupsAdmitted;
     Processor &Home = TheMachine.homeFor(T->LastProc);
-    Home.Queues.pushNew(L.Root, Home.Clock);
+    Home.Queues.pushNew(L.RootTask, Home.Clock);
     uint64_t Wait = Home.Clock > L.EnqueuedAt ? Home.Clock - L.EnqueuedAt : 0;
     Telem.record(TelemIds.AdmissionWait, Home.Id, Wait);
     Super.note(strFormat("admit: group %u \"%s\" from queue", L.Gid,
@@ -1016,16 +1014,8 @@ void Engine::drainAdmissions() {
   }
 }
 
-unsigned Engine::liveTenantGroups() const {
-  unsigned N = 0;
-  for (const Group &G : Groups)
-    if (!G.Internal && G.State == GroupState::Running)
-      ++N;
-  return N;
-}
-
 void Engine::supervisorTick(Processor &P) {
-  if (!SuperviseOn || !MultiOn)
+  if (!SuperviseOn)
     return;
   GroupId Gid;
   unsigned Attempt;
@@ -1050,14 +1040,13 @@ void Engine::supervisorTick(Processor &P) {
       if (TheTracer.enabled())
         TheTracer.record(TraceEventKind::SupervisorGaveUp, P.Id, P.Clock,
                          Gid, Attempt, 0);
-      RootClock = std::max(RootClock, P.Clock);
       finalizeLaunch(Gid);
     }
   }
 }
 
 bool Engine::nextSupervisorEvent(uint64_t &Due) const {
-  if (!SuperviseOn || !MultiOn)
+  if (!SuperviseOn)
     return false;
   return Super.nextEventClock(Due);
 }
@@ -1173,11 +1162,12 @@ void Engine::admitSyntheticBurst(Processor &P, unsigned N) {
   TenantOn = true;
   unsigned AdmittedHere = 0;
   unsigned QueuedHere = 0;
-  size_t QueueDepth = MQueue.size() - MQueueHead;
+  size_t QueueDepth = AdmitQueue.size() - AdmitHead;
   for (unsigned I = 0; I < N; ++I) {
     // Earlier probes of the same burst occupy gate slots: the burst
     // models N launches arriving at once, not N independent singletons.
-    unsigned Live = (MultiOn ? MLive : liveTenantGroups()) + AdmittedHere;
+    // A top-level launch holds a slot too, though it never asked the gate.
+    unsigned Live = LiveLaunches + AdmittedHere;
     if (Cfg.MaxLiveGroups == 0 || Live < Cfg.MaxLiveGroups)
       ++AdmittedHere, ++Stats.GroupsAdmitted;
     else if (QueueDepth + QueuedHere < Cfg.MaxQueuedGroups) {
@@ -1191,19 +1181,17 @@ void Engine::admitSyntheticBurst(Processor &P, unsigned N) {
 }
 
 GroupId Engine::shedForPressure(Processor &P) {
-  if (!MultiOn)
-    return InvalidGroup;
   // Victim order: lowest priority first, then largest account, then
-  // lowest group id — fully deterministic. Only quota-violating launches
-  // are eligible; a group within its envelope is never shed.
+  // lowest group id — fully deterministic. Only quota-violating gated
+  // launches are eligible; a group within its envelope is never shed.
   GroupId Victim = InvalidGroup;
   uint64_t VictimAcct = 0;
   int VictimPrio = 0;
-  for (const TenantLaunch &L : MLaunches) {
+  for (const Launch &L : Launches) {
     // A stopped one-shot launch is Terminal but still holds its heap
     // until killed or resumed — exactly the memory a shed must reclaim.
     // The state check below excludes Done/Killed groups.
-    if (!L.Admitted || L.Gid == InvalidGroup)
+    if (!L.Gated || !L.Admitted)
       continue;
     Group &G = Groups[L.Gid];
     if (G.State != GroupState::Running && G.State != GroupState::Stopped)
@@ -1234,7 +1222,7 @@ GroupId Engine::shedForPressure(Processor &P) {
   if (TheTracer.enabled())
     TheTracer.record(TraceEventKind::GroupShed, P.Id, P.Clock, Victim,
                      VictimAcct, uint64_t(G.Priority));
-  killGroup(Victim); // finalizes the launch via the MultiOn hook
+  killGroup(Victim); // ends its launch
   return Victim;
 }
 
@@ -1255,25 +1243,43 @@ GroupId Engine::largestHeapGroup(uint64_t &Words) const {
   return Best;
 }
 
-bool Engine::noteGroupRootResolved(Object *Fut, uint64_t Clock) {
-  for (TenantLaunch &L : MLaunches) {
-    if (L.Terminal || L.Gid == InvalidGroup)
-      continue;
-    Group &G = Groups[L.Gid];
-    if (!G.RootFuture.isFuture() || G.RootFuture.pointee() != Fut)
-      continue;
-    G.State = GroupState::Done;
-    Super.note(strFormat("done: group %u \"%s\"", L.Gid, G.Banner.c_str()));
-    L.Terminal = true;
-    if (L.Admitted && MLive)
-      --MLive;
-    if (MOutstanding)
-      --MOutstanding;
-    RootClock = std::max(RootClock, Clock);
-    drainAdmissions();
-    return true;
+HeapFacts Engine::heapFacts() const {
+  HeapFacts F;
+  F.UsedWords = TheHeap.usedWords();
+  F.CapacityWords = TheHeap.capacityWords();
+  F.Collections = TheGc.stats().Collections;
+  F.CollectorWedged = TheHeap.wedged();
+  F.OffenderGroup = largestHeapGroup(F.OffenderLiveWords);
+  return F;
+}
+
+namespace {
+/// The group a future was created in (every future names one).
+GroupId futureGroup(const Object *Fut) {
+  return static_cast<GroupId>(Fut->slot(Object::FutGroupId).asFixnum());
+}
+} // namespace
+
+bool Engine::isLaunchRoot(const Object *Fut) const {
+  GroupId Gid = futureGroup(Fut);
+  if (Gid >= Groups.size())
+    return false;
+  const Value &Root = Groups[Gid].RootFuture;
+  return Root.isFuture() && Root.pointee() == Fut;
+}
+
+bool Engine::noteLaunchRootResolved(const Object *Fut) {
+  if (!isLaunchRoot(Fut))
+    return false;
+  GroupId Gid = futureGroup(Fut);
+  Group &G = Groups[Gid];
+  G.State = GroupState::Done;
+  if (Launch *L = openLaunch(Gid)) {
+    if (L->Gated)
+      Super.note(strFormat("done: group %u \"%s\"", Gid, G.Banner.c_str()));
+    finalizeLaunch(Gid);
   }
-  return false;
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1632,15 +1638,6 @@ std::string Engine::backtrace(TaskId Id) {
 // Evaluation
 //===----------------------------------------------------------------------===//
 
-void Engine::beginRun(Value Root, GroupId RootGroup) {
-  RootFuture = Root;
-  RootGroupId = RootGroup;
-  RootClock = 0;
-  RootDone = Root.isFuture() ? Root.pointee()->futureResolved() : true;
-  if (RootDone)
-    RootClock = TheMachine.homeFor(0).Clock;
-}
-
 namespace {
 /// \p V with every resolved future it leads to chased to its value.
 Value resolvedValue(Value V) {
@@ -1649,21 +1646,6 @@ Value resolvedValue(Value V) {
   return V;
 }
 } // namespace
-
-Value Engine::rootValue() const { return resolvedValue(RootFuture); }
-
-EvalResult Engine::stoppedResult(GroupId Gid) const {
-  // Heap exhaustion inside a task stops its group (so the breakloop can
-  // inspect and kill it) but callers match on the dedicated kind.
-  const Group &G = Groups[Gid];
-  EvalResult R;
-  R.K = G.Condition.compare(0, 14, "heap-exhausted") == 0
-            ? EvalResult::Kind::HeapExhausted
-            : EvalResult::Kind::RuntimeError;
-  R.Error = G.Condition;
-  R.StoppedGroup = Gid;
-  return R;
-}
 
 Engine::RootLaunch Engine::launchRoot(Code *TopCode, std::string Banner,
                                       unsigned Home) {
@@ -1711,40 +1693,94 @@ Engine::RootLaunch Engine::launchRoot(Code *TopCode, std::string Banner,
   return L;
 }
 
-EvalResult Engine::translateRunResult(const RunResult &RR, GroupId G) {
-  // A run that ends with its root group still Running (cycle limit,
-  // deadlock, a wedged heap) abandons the group, as evalGroups does: its
-  // queued tasks must not run inside a later eval.
-  if (RR.Status != RunStatus::Completed &&
-      group(G).State == GroupState::Running)
-    killGroup(G);
+void Engine::beginLaunchSet() {
+  Launches.clear();
+  AdmitQueue.clear();
+  AdmitHead = 0;
+  LiveLaunches = 0;
+  OpenLaunches = 0;
+  Escalated = false;
+}
+
+EvalResult Engine::runTopLevelLaunch(GroupId Gid) {
+  beginLaunchSet();
+  Launch L;
+  L.Gid = Gid;
+  L.RootFuture = Groups[Gid].RootFuture;
+  L.Admitted = true; // it bypasses the gate but holds a live slot
+  Launches.push_back(L);
+  LiveLaunches = OpenLaunches = 1;
+  std::vector<EvalResult> Results(1);
+  runLaunches(Results);
+  return Results[0];
+}
+
+void Engine::runLaunches(std::vector<EvalResult> &Results) {
+  RunResult RR;
+  if (OpenLaunches)
+    RR = TheMachine.run(*this);
+  for (size_t I = 0; I < Launches.size(); ++I)
+    if (Launches[I].Gid != InvalidGroup)
+      Results[I] = launchResult(Launches[I], RR);
+  // The run is over. Launches it abandoned (deadlock, the cycle limit, a
+  // wedged heap, escalation, a gate that never opened) still have
+  // runnable tasks in processor queues; kill them so a later eval cannot
+  // dispatch a half-finished group. Stopped groups stay inspectable, and
+  // restarts still pending for them are dropped. Every launch is made
+  // terminal first, so the kills admit nothing from the queue.
+  for (Launch &L : Launches)
+    L.Terminal = true;
+  for (Launch &L : Launches)
+    if (L.Gid != InvalidGroup && Groups[L.Gid].State == GroupState::Running)
+      killGroup(L.Gid);
+  Super.dropPending();
+}
+
+EvalResult Engine::launchResult(const Launch &L, const RunResult &RR) const {
+  const Group &G = Groups[L.Gid];
   EvalResult R;
+  switch (G.State) {
+  case GroupState::Done:
+    R.Val = resolvedValue(G.RootFuture);
+    return R;
+  case GroupState::Stopped:
+    // Heap exhaustion inside a task stops its group (so the breakloop can
+    // inspect and kill it) but callers match on the dedicated kind.
+    R.K = isHeapCondition(G.Condition) ? EvalResult::Kind::HeapExhausted
+                                       : EvalResult::Kind::RuntimeError;
+    R.Error = G.Condition;
+    R.StoppedGroup = L.Gid;
+    if (R.K == EvalResult::Kind::HeapExhausted)
+      R.Heap = L.Heap;
+    return R;
+  case GroupState::Killed:
+    R.K = EvalResult::Kind::RuntimeError;
+    R.Error = G.Condition.empty() ? "group-killed" : G.Condition;
+    R.StoppedGroup = L.Gid;
+    return R;
+  case GroupState::Running:
+    break;
+  }
+  // The run ended before this launch did.
   switch (RR.Status) {
-  case RunStatus::Completed:
-    R.K = EvalResult::Kind::Value;
-    R.Val = RR.Result;
-    group(G).State = GroupState::Done;
-    return R;
-  case RunStatus::GroupStopped:
-    R = stoppedResult(RR.StoppedGroup);
-    R.Heap = RR.Heap;
-    return R;
   case RunStatus::Deadlock:
     R.K = EvalResult::Kind::Deadlock;
-    R.Error = RR.Error;
-    return R;
-  case RunStatus::HeapExhausted:
-    R.K = EvalResult::Kind::HeapExhausted;
-    R.Error = RR.Error;
-    R.Heap = RR.Heap;
-    return R;
+    break;
   case RunStatus::CycleLimit:
     R.K = EvalResult::Kind::CycleLimit;
-    R.Error = RR.Error;
-    return R;
+    break;
+  case RunStatus::HeapExhausted:
+    R.K = EvalResult::Kind::HeapExhausted;
+    R.Heap = RR.Heap;
+    break;
+  case RunStatus::Completed: // escalated, or the gate never opened
+    R.K = EvalResult::Kind::RuntimeError;
+    break;
   }
-  R.K = EvalResult::Kind::RuntimeError;
-  R.Error = "unknown run status";
+  R.Error = Escalated ? "run-escalated: a supervised group's policy ended "
+                        "the run"
+            : !L.Admitted ? "admission-starved: the gate never opened"
+                          : RR.Error;
   return R;
 }
 
@@ -1759,14 +1795,12 @@ EvalResult Engine::runTopLevel(Code *TopCode, std::string_view Banner) {
   }
   Processor &P0 = TheMachine.processor(L.Proc);
   P0.charge(P0.Queues.pushNew(L.Root, P0.Clock));
-
-  beginRun(group(L.Gid).RootFuture, L.Gid);
-  RunResult RR = TheMachine.run(*this);
+  EvalResult R = runTopLevelLaunch(L.Gid);
   // Request latency for the multi-tenant story: every top-level eval is
   // one request, including the ones that end in a breakloop.
   Telem.add(TelemIds.EvalsTotal, P0.Id);
-  Telem.record(TelemIds.EvalRequest, P0.Id, RR.ElapsedCycles);
-  return translateRunResult(RR, L.Gid);
+  Telem.record(TelemIds.EvalRequest, P0.Id, Stats.ElapsedCycles);
+  return R;
 }
 
 EvalResult Engine::evalDatum(Value Form, std::string_view Banner) {
@@ -1812,29 +1846,26 @@ EvalResult Engine::eval(std::string_view Source) {
 }
 
 std::vector<EvalResult>
-Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
-  std::vector<EvalResult> Results(Launches.size());
-  if (Launches.empty())
+Engine::evalGroups(const std::vector<GroupLaunch> &Specs) {
+  std::vector<EvalResult> Results(Specs.size());
+  if (Specs.empty())
     return Results;
-  for (const GroupLaunch &L : Launches)
+  for (const GroupLaunch &L : Specs)
     if (L.HeapQuotaWords || L.CycleBudget || !L.Supervise.empty())
       TenantOn = true;
 
   Super.beginRun();
-  MLaunches.clear();
-  MQueue.clear();
-  MQueueHead = 0;
-  MLive = 0;
-  MOutstanding = 0;
-  MEscalated = false;
+  beginLaunchSet();
 
   // Create every group, root future and root task up front. The admission
   // drain is then a single queue push from arbitrarily deep in the
   // scheduler — it never allocates mid-run.
   unsigned NP = TheMachine.numProcessors();
-  for (size_t I = 0; I < Launches.size(); ++I) {
-    const GroupLaunch &L = Launches[I];
-    TenantLaunch TL;
+  for (size_t I = 0; I < Specs.size(); ++I) {
+    const GroupLaunch &L = Specs[I];
+    Launch TL;
+    TL.Gated = true;
+    TL.Terminal = true; // until it is launched
     Reader Rd(Builder, L.Source);
     std::string Err;
     std::vector<Value> Forms = [&] {
@@ -1847,8 +1878,7 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
           !Err.empty() ? Err
                        : (Forms.empty() ? "empty launch source"
                                         : "a launch must be a single form");
-      TL.Terminal = true;
-      MLaunches.push_back(TL);
+      Launches.push_back(TL);
       continue;
     }
     Compiler::Result CR = [&] {
@@ -1858,8 +1888,7 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
     if (!CR.ok()) {
       Results[I].K = EvalResult::Kind::CompileError;
       Results[I].Error = CR.Error;
-      TL.Terminal = true;
-      MLaunches.push_back(TL);
+      Launches.push_back(TL);
       continue;
     }
 
@@ -1893,39 +1922,40 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
     if (RL.Root == InvalidTask) {
       Results[I].K = EvalResult::Kind::HeapExhausted;
       Results[I].Error = RL.Error;
-      TL.Terminal = true;
-      MLaunches.push_back(TL);
+      Launches.push_back(TL);
       continue;
     }
 
     Processor &Home = TheMachine.processor(RL.Proc);
     TL.Gid = Gid;
-    TL.Root = RL.Root;
+    TL.RootTask = RL.Root;
+    TL.RootFuture = G.RootFuture;
+    TL.Terminal = false;
     TL.EnqueuedAt = Home.Clock;
-    ++MOutstanding;
+    ++OpenLaunches;
     Telem.add(TelemIds.EvalsTotal, Home.Id);
-    MLaunches.push_back(TL);
+    Launches.push_back(TL);
   }
 
   // Admission gate: the first MaxLiveGroups launches run, the next
   // MaxQueuedGroups wait (FIFO), the rest are rejected outright.
-  for (size_t I = 0; I < MLaunches.size(); ++I) {
-    TenantLaunch &L = MLaunches[I];
-    if (L.Terminal || L.Gid == InvalidGroup)
+  for (size_t I = 0; I < Launches.size(); ++I) {
+    Launch &L = Launches[I];
+    if (L.Terminal)
       continue;
-    Task *T = liveTask(L.Root);
+    Task *T = liveTask(L.RootTask);
     Processor &Home = TheMachine.homeFor(T ? T->LastProc : 0);
-    if (Cfg.MaxLiveGroups == 0 || MLive < Cfg.MaxLiveGroups) {
+    if (Cfg.MaxLiveGroups == 0 || LiveLaunches < Cfg.MaxLiveGroups) {
       L.Admitted = true;
-      ++MLive;
+      ++LiveLaunches;
       ++Stats.GroupsAdmitted;
-      Home.charge(Home.Queues.pushNew(L.Root, Home.Clock));
+      Home.charge(Home.Queues.pushNew(L.RootTask, Home.Clock));
       Telem.record(TelemIds.AdmissionWait, Home.Id, 0);
       if (TheTracer.enabled())
         TheTracer.record(TraceEventKind::GroupAdmitted, Home.Id, Home.Clock,
                          L.Gid, 0, 0);
-    } else if (MQueue.size() - MQueueHead < Cfg.MaxQueuedGroups) {
-      MQueue.push_back(I);
+    } else if (AdmitQueue.size() - AdmitHead < Cfg.MaxQueuedGroups) {
+      AdmitQueue.push_back(I);
       ++Stats.GroupsQueued;
       Super.note(strFormat("queue: group %u \"%s\"", L.Gid,
                            Groups[L.Gid].Banner.c_str()));
@@ -1938,71 +1968,11 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
           "admission-rejected: live and queued launch limits reached";
       Super.note(strFormat("reject: group %u \"%s\"", L.Gid,
                            Groups[L.Gid].Banner.c_str()));
-      killGroup(L.Gid); // MultiOn is still off: no termination hook fires
-      L.Terminal = true;
-      if (MOutstanding)
-        --MOutstanding;
+      killGroup(L.Gid); // ends the launch
     }
   }
 
-  RunResult RR;
-  if (MOutstanding) {
-    beginRun(Value::nil(), InvalidGroup);
-    MultiOn = true;
-    RR = TheMachine.run(*this);
-    MultiOn = false;
-  }
-
-  // Per-launch results from the groups' final states.
-  for (size_t I = 0; I < MLaunches.size(); ++I) {
-    TenantLaunch &L = MLaunches[I];
-    if (L.Gid == InvalidGroup)
-      continue; // read/compile/alloc error already recorded
-    Group &G = Groups[L.Gid];
-    EvalResult &R = Results[I];
-    switch (G.State) {
-    case GroupState::Done:
-      R.K = EvalResult::Kind::Value;
-      R.Val = resolvedValue(G.RootFuture);
-      break;
-    case GroupState::Stopped:
-      R = stoppedResult(L.Gid);
-      break;
-    case GroupState::Killed:
-      if (R.K == EvalResult::Kind::Value && R.Error.empty()) {
-        R.K = EvalResult::Kind::RuntimeError;
-        R.Error = G.Condition.empty() ? "group-killed" : G.Condition;
-        R.StoppedGroup = L.Gid;
-      }
-      break;
-    case GroupState::Running:
-      // The run ended before this launch finished: escalation, deadlock
-      // among other groups, the cycle watchdog, or a gate that never
-      // opened.
-      R.K = RR.Status == RunStatus::Deadlock ? EvalResult::Kind::Deadlock
-            : RR.Status == RunStatus::CycleLimit
-                ? EvalResult::Kind::CycleLimit
-                : EvalResult::Kind::RuntimeError;
-      R.Error = MEscalated
-                    ? "run-escalated: a supervised group's policy ended "
-                      "the run"
-                : !L.Admitted
-                    ? "admission-starved: the gate never opened"
-                    : (RR.Error.empty() ? "run ended early" : RR.Error);
-      break;
-    }
-  }
-
-  // Launches the run abandoned (escalation, watchdog) still have runnable
-  // tasks in processor queues; kill them so a later eval cannot dispatch
-  // a half-finished tenant. Stopped groups stay inspectable.
-  for (TenantLaunch &L : MLaunches) {
-    if (L.Gid == InvalidGroup || L.Terminal)
-      continue;
-    if (Groups[L.Gid].State == GroupState::Running)
-      killGroup(L.Gid);
-    L.Terminal = true;
-  }
+  runLaunches(Results);
   return Results;
 }
 

@@ -270,16 +270,17 @@ public:
   /// \name Evaluation
   /// @{
   /// Reads and evaluates every form in \p Source; returns the last value.
-  /// Each top-level form runs as its own group.
+  /// Each top-level form runs as its own group: a run of one launch.
   EvalResult eval(std::string_view Source);
-  /// Evaluates one already-read datum.
+  /// Evaluates one already-read datum (a run of one launch).
   EvalResult evalDatum(Value Form, std::string_view Banner = "");
-  /// Launches every entry as its own concurrent group through the tenant
-  /// admission gate and runs them to quiescence under quotas, budgets and
-  /// the supervisor; returns one result per launch, in order. Groups stop
-  /// independently: one tenant tripping its quota never ends the others'
-  /// run (unless its policy escalates).
-  std::vector<EvalResult> evalGroups(const std::vector<GroupLaunch> &Launches);
+  /// Launches every entry as its own concurrent group in one run; returns
+  /// one result per launch, in order, classified exactly as a top-level
+  /// eval's. Unlike a top-level launch, these pass the tenant admission
+  /// gate and run under quotas, budgets, load shedding and the
+  /// supervisor. Groups stop independently: one tenant tripping its quota
+  /// never ends the others' run (unless its policy escalates).
+  std::vector<EvalResult> evalGroups(const std::vector<GroupLaunch> &Specs);
   /// @}
 
   /// \name Group management (the UI layer of paper section 2.3)
@@ -288,7 +289,8 @@ public:
   Group *findGroup(GroupId Id);
   std::vector<GroupId> stoppedGroups() const;
   /// Resumes a stopped group; \p ResumeValue becomes the value of the
-  /// erring operation in the signalling task.
+  /// erring operation in the signalling task. The group re-enters the run
+  /// as a top-level launch, so its next stop is the breakloop again.
   EvalResult resumeGroup(GroupId Id, Value ResumeValue);
   void killGroup(GroupId Id);
   /// Most recently stopped group (the UI's "current group").
@@ -397,7 +399,6 @@ public:
   /// Used for injected faults and budget/heap conditions that hit before
   /// an instruction commits.
   void stopGroupRestartable(Processor &P, Task &T, std::string Condition);
-  GroupId lastStoppedGroup() const { return LastStopped; }
 
   /// \name Fault injection (src/fault)
   /// @{
@@ -462,12 +463,9 @@ public:
   /// while the tenant layer is armed — so dormant conditions are
   /// unchanged.
   GroupId largestHeapGroup(uint64_t &Words) const;
-  /// True while evalGroups is driving a multi-group run.
-  bool multiRun() const { return MultiOn; }
-  /// FutureOps hook: \p Fut just resolved. True when it was a launched
-  /// group's root future — the group is finalized as Done and the resolve
-  /// is accounted as launch overhead, like the single-run root.
-  bool noteGroupRootResolved(Object *Fut, uint64_t Clock);
+  /// The heap's occupancy now, for a run or a launch that ends on a heap
+  /// condition.
+  HeapFacts heapFacts() const;
   /// @}
 
   /// \name Future-site scheduling policies (core/SitePolicies.h)
@@ -542,24 +540,23 @@ public:
   /// Empty string when nothing is blocked.
   std::string describeWaitGraph();
 
-  /// \name Root-future tracking for Machine::run
+  /// \name The run's launch set, for Machine::run and the future protocol
+  ///
+  /// Every run evaluates a set of launches: one for a top-level form or a
+  /// resumed group, N for evalGroups. A launch is terminal once its group
+  /// is done, stopped for good or killed; the run ends when no launch is
+  /// open or a supervised group's policy escalated.
   /// @{
-  void beginRun(Value RootFuture, GroupId RootGroup);
-  bool rootResolved() const {
-    // A multi-group run has no single root future: it ends when every
-    // launch is terminal (or a policy escalated).
-    return MultiOn ? (MOutstanding == 0 || MEscalated) : RootDone;
-  }
-  void noteRootResolved(uint64_t Clock) {
-    RootDone = true;
-    RootClock = Clock;
-  }
-  Object *rootFutureObject() const {
-    return RootFuture.isFuture() ? RootFuture.pointee() : nullptr;
-  }
-  Value rootValue() const;
-  uint64_t rootResolvedClock() const { return RootClock; }
-  GroupId rootGroup() const { return RootGroupId; }
+  /// Launches of the current run not yet terminal.
+  unsigned openLaunches() const { return OpenLaunches; }
+  bool runEscalated() const { return Escalated; }
+  /// True when \p Fut is the root future of the group named in its
+  /// FutGroupId slot: the future a launch's root task resolves. O(1).
+  bool isLaunchRoot(const Object *Fut) const;
+  /// FutureOps hook: \p Fut just resolved. True when it was a launch root
+  /// (isLaunchRoot): its group is Done, its launch terminal, and the
+  /// resolve is launch overhead rather than Table 1's step 5.
+  bool noteLaunchRootResolved(const Object *Fut);
   /// @}
 
   /// Runs a collection now; false means the heap is truly exhausted.
@@ -603,7 +600,6 @@ private:
   void bootstrap();
   void installPrimitiveWrappers();
   EvalResult runTopLevel(Code *TopCode, std::string_view Banner);
-  EvalResult translateRunResult(const RunResult &R, GroupId G);
   /// The root launch runTopLevel and evalGroups share: a new group named
   /// \p Banner with the tenant defaults, its unresolved root future, and a
   /// root task for \p TopCode, not yet queued, homed on the first live
@@ -616,14 +612,46 @@ private:
     std::string Error;
   };
   RootLaunch launchRoot(Code *TopCode, std::string Banner, unsigned Home);
-  /// The result of the stopped group \p Gid: its condition, as a heap
-  /// exhaustion when the condition names one, else as a runtime error.
-  EvalResult stoppedResult(GroupId Gid) const;
+
+  /// One launch of a run. Gated launches (evalGroups) pass the admission
+  /// gate and run under the supervisor, load shedding and the transcript;
+  /// top-level launches (eval, resumeGroup) bypass all four, so their
+  /// first stop is terminal and the breakloop fires.
+  struct Launch {
+    /// InvalidGroup when the launch never started (read, compile or
+    /// allocation error); it is terminal from the outset.
+    GroupId Gid = InvalidGroup;
+    TaskId RootTask = InvalidTask; ///< queued when a gated launch is admitted
+    /// The group's root future, a GC root scanned ahead of the group table
+    /// (spliced to its value once resolved, like any root).
+    Value RootFuture = Value::nil();
+    bool Gated = false;
+    bool Admitted = false;
+    bool Terminal = false;
+    uint64_t EnqueuedAt = 0; ///< home-proc clock when queued, for telemetry
+    /// The heap's facts when a heap condition stopped the group.
+    HeapFacts Heap;
+  };
+  /// Starts an empty launch set: the last run's launches, the admission
+  /// queue and the run's counters are dropped.
+  void beginLaunchSet();
+  /// Runs the launch set of the group \p Gid alone, as a top-level launch.
+  EvalResult runTopLevelLaunch(GroupId Gid);
+  /// The one run path: runs the machine until the launch set ends, fills
+  /// \p Results (parallel to Launches; launches that never started keep
+  /// theirs) and ends the launches the run abandoned.
+  void runLaunches(std::vector<EvalResult> &Results);
+  /// The one classifier: launch \p L's result from its group's state and
+  /// how the run ended.
+  EvalResult launchResult(const Launch &L, const RunResult &RR) const;
+  /// The non-terminal launch of group \p Gid in the current set, or null.
+  Launch *openLaunch(GroupId Gid);
   /// Applies EngineConfig quota/budget defaults to a fresh user group.
   void applyTenantDefaults(Group &G);
-  /// Multi-run hook at a group-termination edge (stop/kill): consults the
-  /// supervisor; finalizes the launch unless a restart was scheduled.
-  void onGroupTerminated(unsigned ProcId, uint64_t Clock, GroupId Gid);
+  /// Hook at a group's Running -> Stopped edge: records the heap's facts
+  /// for a heap condition, consults the supervisor for a gated launch, and
+  /// ends the launch unless a restart was scheduled.
+  void onGroupStopped(unsigned ProcId, uint64_t Clock, GroupId Gid);
   /// Restores the stopped group for a due supervisor restart: re-readies
   /// a restartable stop, or restores the signalling task from its newest
   /// epoch-valid checkpoint record. False when no restartable state
@@ -633,7 +661,6 @@ private:
   /// queue into any freed live slots.
   void finalizeLaunch(GroupId Gid);
   void drainAdmissions();
-  unsigned liveTenantGroups() const;
   /// Recomputes TenantOn after a `:quota off` / `:supervise off`.
   void refreshTenantArmed();
   /// Allocation that retries after GC; for setup paths outside the VM.
@@ -709,11 +736,6 @@ private:
   StringOutStream ConsoleStream{ConsoleBuf};
   VirtualLock TermLock;
 
-  Value RootFuture = Value::nil();
-  GroupId RootGroupId = InvalidGroup;
-  bool RootDone = false;
-  uint64_t RootClock = 0;
-  GroupId LastStopped = InvalidGroup;
   std::vector<GroupId> StoppedStack;
   bool Bootstrapping = false;
 
@@ -729,21 +751,14 @@ private:
   /// running collection; committed in collectGarbage.
   std::vector<uint64_t> LiveTally;
 
-  /// Multi-group run state (evalGroups).
-  struct TenantLaunch {
-    GroupId Gid = InvalidGroup;
-    TaskId Root = InvalidTask;
-    bool Admitted = false;
-    bool Terminal = false;
-    uint64_t EnqueuedAt = 0; ///< home-proc clock when queued, for telemetry
-  };
-  std::vector<TenantLaunch> MLaunches;
-  std::vector<size_t> MQueue; ///< launch indices awaiting admission (FIFO)
-  size_t MQueueHead = 0;
-  unsigned MLive = 0;        ///< admitted launches not yet terminal
-  unsigned MOutstanding = 0; ///< admitted-or-queued launches not yet terminal
-  bool MultiOn = false;
-  bool MEscalated = false;
+  /// The current run's launch set (kept after the run until the next one
+  /// starts: its root futures stay GC roots, as they were during the run).
+  std::vector<Launch> Launches;
+  std::vector<size_t> AdmitQueue; ///< launch indices awaiting admission (FIFO)
+  size_t AdmitHead = 0;
+  unsigned LiveLaunches = 0; ///< admitted launches not yet terminal
+  unsigned OpenLaunches = 0; ///< admitted-or-queued launches not yet terminal
+  bool Escalated = false;
 };
 
 } // namespace mult

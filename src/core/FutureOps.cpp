@@ -261,11 +261,8 @@ void futureops::resolveFuture(Engine &E, Processor &P, Object *Fut,
     E.tracer().record(TraceEventKind::FutureResolve, P.Id, P.Clock, Woken, 0,
                       Serial);
 
-  if (E.rootFutureObject() == Fut) {
-    E.noteRootResolved(P.Clock);
-  } else if (E.multiRun() && E.noteGroupRootResolved(Fut, P.Clock)) {
-    // A launched group's root: launch overhead, like the single-run root.
-  } else {
+  // A launch root's resolve is launch overhead, not the future protocol.
+  if (!E.noteLaunchRootResolved(Fut)) {
     E.stats().Steps.ResolveCycles += Cycles;
     ++E.stats().FuturesResolved;
   }

@@ -171,10 +171,8 @@ bool Supervisor::takeDue(uint64_t Now, GroupId &G, unsigned &Attempt,
   G = E.G;
   Attempt = E.Attempt;
   StopClock = E.StopClock;
-  if (Head == Queue.size()) {
-    Queue.clear();
-    Head = 0;
-  }
+  if (Head == Queue.size())
+    dropPending();
   return true;
 }
 
@@ -185,7 +183,6 @@ unsigned Supervisor::restartsTaken(GroupId G) const {
 
 void Supervisor::beginRun() {
   PerGroup.clear();
-  Queue.clear();
-  Head = 0;
+  dropPending();
   Transcript.clear();
 }

@@ -11,7 +11,7 @@
 ///   one-shot                 the stop is final (default)
 ///   restart:max=N,backoff=B  schedule restart k at stop + B * 2^k virtual
 ///                            cycles; after N restarts, give up permanently
-///   escalate                 propagate: the whole multi-group run ends
+///   escalate                 propagate: the whole run ends
 ///
 /// Everything happens in virtual time: restart events are ordered by their
 /// due clock, so the schedule is deterministic and seed-stable — the same
@@ -97,6 +97,11 @@ public:
   /// policies, restart counters and the transcript. The default policy
   /// survives (it is configuration, not run state).
   void beginRun();
+  /// Drops every pending restart: they end with the run that queued them.
+  void dropPending() {
+    Queue.clear();
+    Head = 0;
+  }
 
 private:
   struct GroupSup {

@@ -226,15 +226,6 @@ RunResult Machine::run(Engine &E) {
   uint32_t SameSpotPc = 0;
   unsigned SameSpotGcs = 0;
 
-  auto SnapshotHeap = [&E]() {
-    HeapFacts F;
-    F.UsedWords = E.heap().usedWords();
-    F.CapacityWords = E.heap().capacityWords();
-    F.Collections = E.gcStats().Collections;
-    F.CollectorWedged = E.heap().wedged();
-    F.OffenderGroup = E.largestHeapGroup(F.OffenderLiveWords);
-    return F;
-  };
   // Names the group holding the most heap words in heap-exhausted
   // conditions. Empty unless the tenant quota layer is armed (attribution
   // needs its per-group accounting), so dormant output is unchanged.
@@ -250,13 +241,6 @@ RunResult Machine::run(Engine &E) {
                      Off, E.group(Off).Banner.c_str(),
                      static_cast<unsigned long long>(Words), Share);
   };
-  auto RootStopped = [&E]() {
-    // A multi-group run has no root group; group stops there never end
-    // the run (each tenant fails independently).
-    return E.rootGroup() != InvalidGroup &&
-           E.lastStoppedGroup() == E.rootGroup() &&
-           E.group(E.rootGroup()).State == GroupState::Stopped;
-  };
   // The run's one exit. It fills in the outcome and publishes the run's
   // engine-side totals: the elapsed time, and the sums of the run counters
   // (the processors hold their only copy while the run is on). Every
@@ -266,10 +250,6 @@ RunResult Machine::run(Engine &E) {
     InRun = false;
     R.Status = Status;
     R.ElapsedCycles = EndClock - Start;
-    if (Status == RunStatus::GroupStopped) {
-      R.StoppedGroup = E.rootGroup();
-      R.Error = E.group(R.StoppedGroup).Condition;
-    }
     EngineStats &S = E.stats();
     S.ElapsedCycles = R.ElapsedCycles;
     S.Instructions = S.IdleCycles = S.Dispatches = S.Steals = 0;
@@ -290,17 +270,26 @@ RunResult Machine::run(Engine &E) {
               (E.heap().wedged() ? E.heap().wedgedReason()
                                  : std::string(Why)) +
               OffenderSuffix();
-    R.Heap = SnapshotHeap();
+    R.Heap = E.heapFacts();
     return Exit(RunStatus::HeapExhausted, EndClock);
   };
 
+  // A launch ends at the clock of the processor whose step ended it, read
+  // once the step is over; the run ends, at the latest of those clocks,
+  // when no launch is open or a policy escalated.
+  unsigned Open = E.openLaunches();
+  uint64_t End = Start;
+  Processor *Stepped = &Procs[0];
   for (;;) {
-    if (E.rootResolved()) {
-      R.Result = E.rootValue();
-      return Exit(RunStatus::Completed, E.rootResolvedClock());
+    if (E.openLaunches() != Open) {
+      Open = E.openLaunches();
+      End = std::max(End, Stepped->Clock);
     }
+    if (Open == 0 || E.runEscalated())
+      return Exit(RunStatus::Completed, End);
 
     Processor &P = Procs[minClockProcessor()];
+    Stepped = &P;
     if (P.Clock - Start > MaxRunCycles) {
       if (NumAsleep) {
         // The sleepers' rounds that start within the limit still run
@@ -320,8 +309,7 @@ RunResult Machine::run(Engine &E) {
 
     // Supervisor restart events due at or before the min clock fire here,
     // so a restart never lands mid-quantum and the schedule around it is
-    // deterministic. Gated twice (armed here, multi-run inside): dormant
-    // runs pay one predicted-false branch.
+    // deterministic. Dormant runs pay one predicted-false branch.
     if (E.tenantArmed())
       E.supervisorTick(P);
 
@@ -342,13 +330,12 @@ RunResult Machine::run(Engine &E) {
             Dead.TraceIdling = false;
             E.tracer().record(TraceEventKind::IdleEnd, Dead.Id, Dead.Clock);
           }
+          // The survivor that observes the kill pays for the recovery
+          // scan; an orphaned future stops its group there.
           Processor &Obs = Procs[minClockProcessor()];
+          Stepped = &Obs;
           E.noteFault(Obs, FaultKind::ProcKill, Victim);
           E.recoverProcessor(Obs, Dead, Start + KillMark);
-          // An orphaned future stopped the root group: surface the
-          // processor-lost condition to the breakloop.
-          if (RootStopped())
-            return Exit(RunStatus::GroupStopped, Obs.Clock);
         }
         continue;
       }
@@ -387,10 +374,6 @@ RunResult Machine::run(Engine &E) {
         E.noteFault(P, FaultKind::SpuriousGc, GcMark);
         if (!E.collectGarbage())
           return HeapExhaustedExit(P.Clock, "cannot start a collection");
-        // A proc-kill landed inside the forced collection and orphaned a
-        // root-group future.
-        if (RootStopped())
-          return Exit(RunStatus::GroupStopped, P.Clock);
         continue;
       }
     }
@@ -435,8 +418,6 @@ RunResult Machine::run(Engine &E) {
                       T.Group,
                       static_cast<unsigned long long>(E.config().MaxCycles)));
         P.Current = InvalidTask;
-        if (RootStopped())
-          return Exit(RunStatus::GroupStopped, P.Clock);
         continue;
       }
 
@@ -445,8 +426,6 @@ RunResult Machine::run(Engine &E) {
       // next instruction never executed); every other group keeps running.
       if (E.tenantArmed() && E.pollTenant(P, T)) {
         P.Current = InvalidTask;
-        if (RootStopped())
-          return Exit(RunStatus::GroupStopped, P.Clock);
         continue;
       }
 
@@ -477,9 +456,9 @@ RunResult Machine::run(Engine &E) {
       }
       // Sleepers wake up to this step's key once it ends anything but a
       // time slice (done, blocked, stopped, or a collection that needs
-      // caught-up clocks), resolves the root, or leaves work visible.
-      if (NumAsleep && (Step != StepOutcome::TimeSlice || E.rootResolved() ||
-                        !idleRoundsFail(E)))
+      // caught-up clocks), ends a launch, or leaves work visible.
+      if (NumAsleep && (Step != StepOutcome::TimeSlice ||
+                        E.openLaunches() != Open || !idleRoundsFail(E)))
         wakeAll(StepClock, P.Id);
       switch (Step) {
       case StepOutcome::TimeSlice:
@@ -493,25 +472,19 @@ RunResult Machine::run(Engine &E) {
       case StepOutcome::TaskDone:
       case StepOutcome::GroupStopped:
         P.Current = InvalidTask;
-        if (RootStopped())
-          return Exit(RunStatus::GroupStopped, P.Clock);
         break;
       case StepOutcome::NeedsGc: {
         // Heap exhaustion degrades gracefully: the task's group stops
         // with a heap-exhausted condition (breakloop-inspectable and
-        // killable) instead of abandoning the run. The instruction never
-        // executed, so the stop is restartable. True when that stopped
-        // the root group, with the heap's facts taken for the result.
-        auto StopHeapExhausted = [&](const std::string &Condition) -> bool {
+        // killable, with the heap's facts kept for its launch) instead of
+        // abandoning the run. The instruction never executed, so the stop
+        // is restartable.
+        auto StopHeapExhausted = [&](const std::string &Condition) {
           ++E.stats().HeapExhaustedStops;
           E.stopGroupRestartable(P, T, Condition);
           P.Current = InvalidTask;
           SameSpotTask = InvalidTask;
           FruitlessGcs = 0;
-          if (!RootStopped())
-            return false;
-          R.Heap = SnapshotHeap();
-          return true;
         };
         // An injected allocation failure is not evidence of a full heap;
         // run the collection but keep the exhaustion heuristics quiet.
@@ -521,19 +494,17 @@ RunResult Machine::run(Engine &E) {
           if (T.Id == SameSpotTask && T.Pc == SameSpotPc) {
             if (++SameSpotGcs >= 8) {
               // Memory pressure: before declaring exhaustion, shed the
-              // lowest-priority quota violator (multi-group runs only) —
+              // lowest-priority quota violator among the gated launches —
               // its heap frees at the next collection.
-              if (E.multiRun() && E.shedForPressure(P) != InvalidGroup) {
+              if (E.shedForPressure(P) != InvalidGroup) {
                 SameSpotTask = InvalidTask;
                 FruitlessGcs = 0;
                 break;
               }
-              if (StopHeapExhausted(
-                      std::string("heap-exhausted: a single operation "
-                                  "allocates more than the collected heap "
-                                  "can hold") +
-                      OffenderSuffix()))
-                return Exit(RunStatus::GroupStopped, P.Clock);
+              StopHeapExhausted(std::string("heap-exhausted: a single "
+                                            "operation allocates more than "
+                                            "the collected heap can hold") +
+                                OffenderSuffix());
               break;
             }
           } else {
@@ -548,24 +519,18 @@ RunResult Machine::run(Engine &E) {
         if (!E.collectGarbage())
           return HeapExhaustedExit(P.Clock,
                                    "semispace too small for live data");
-        // A proc-kill landed inside the collection and orphaned a
-        // root-group future.
-        if (RootStopped())
-          return Exit(RunStatus::GroupStopped, P.Clock);
         // A collection that frees (almost) nothing cannot unblock the
         // failing allocation; stop the group instead of thrashing.
         if (!Injected && E.heap().usedWords() + 64 >= UsedBefore) {
           if (++FruitlessGcs >= 2) {
-            if (E.multiRun() && E.shedForPressure(P) != InvalidGroup) {
+            if (E.shedForPressure(P) != InvalidGroup) {
               SameSpotTask = InvalidTask;
               FruitlessGcs = 0;
               break;
             }
-            if (StopHeapExhausted(
-                    std::string("heap-exhausted: collection reclaimed no "
-                                "space") +
-                    OffenderSuffix()))
-              return Exit(RunStatus::GroupStopped, P.Clock);
+            StopHeapExhausted(
+                std::string("heap-exhausted: collection reclaimed no space") +
+                OffenderSuffix());
             break;
           }
         } else if (!Injected) {
@@ -624,10 +589,11 @@ RunResult Machine::run(Engine &E) {
           Q.Clock = Due;
           Q.IdleCycles += Jump;
         }
-        E.supervisorTick(Procs[minClockProcessor()]);
+        Stepped = &Procs[minClockProcessor()];
+        E.supervisorTick(*Stepped);
         continue;
       }
-      // Nothing runnable anywhere. If the root is unresolved, the
+      // Nothing runnable anywhere while a launch is open: the
       // computation deadlocked (e.g. the paper's semaphore example under
       // inlining). Reconstruct the task -> future wait-for graph so the
       // report names the cycle, not just the symptom.

@@ -86,16 +86,15 @@ struct Processor {
 
 /// Why Machine::run returned.
 enum class RunStatus : uint8_t {
-  Completed,    ///< Root future resolved; Result holds the value.
-  GroupStopped, ///< The root group hit an exception (breakloop time).
-  Deadlock,     ///< Quiescent with the root unresolved.
+  Completed,    ///< Every launch ended (or a supervised policy escalated).
+  Deadlock,     ///< Quiescent with a launch still open.
   HeapExhausted,///< GC could not reclaim enough space.
   CycleLimit,   ///< Config.MaxRunCycles exceeded.
 };
 
-/// Snapshot of heap occupancy taken when a run ends on a heap condition,
-/// so callers (and the breakloop user) can see *why* without poking the
-/// engine.
+/// Snapshot of heap occupancy taken when a run or a launch ends on a heap
+/// condition, so callers (and the breakloop user) can see *why* without
+/// poking the engine.
 struct HeapFacts {
   size_t UsedWords = 0;
   size_t CapacityWords = 0; ///< semispace size
@@ -108,13 +107,13 @@ struct HeapFacts {
   uint64_t OffenderLiveWords = 0;
 };
 
+/// How a run ended. Each launch's own outcome is its group's state
+/// (Engine::launchResult reads both).
 struct RunResult {
   RunStatus Status = RunStatus::Completed;
-  Value Result = Value::unspecified();
-  GroupId StoppedGroup = InvalidGroup;
   std::string Error;
   uint64_t ElapsedCycles = 0;
-  HeapFacts Heap; ///< meaningful for HeapExhausted (and heap-caused stops)
+  HeapFacts Heap; ///< meaningful for HeapExhausted
 };
 
 /// Counters of the idle-sleep path (see Machine::run). Machine-lifetime,
@@ -143,11 +142,15 @@ public:
           uint64_t MaxRunCycles, StealOrder Order,
           const AdaptiveTConfig &Adaptive = AdaptiveTConfig());
 
-  /// Runs until the root future Engine::beginRun named resolves (or an
-  /// exceptional status). Runnable tasks must already be enqueued. Unless an observer
-  /// is armed (tracer, faults, tenant layer, adaptive T), idle processors
-  /// sleep through stretches of failed steal rounds and are credited with
-  /// them in closed form, with the same virtual result.
+  /// Runs the engine's launch set until no launch is open, a supervised
+  /// policy escalates, or the run ends early (deadlock, the cycle limit,
+  /// a wedged heap). A launch ends when its group is done, stopped for
+  /// good or killed, at the clock of the processor whose step ended it;
+  /// the run's elapsed time runs to the latest such clock. Runnable tasks
+  /// must already be enqueued. Unless an observer is armed (tracer,
+  /// faults, tenant layer, adaptive T), idle processors sleep through
+  /// stretches of failed steal rounds and are credited with them in
+  /// closed form, with the same virtual result.
   RunResult run(Engine &E);
 
   unsigned numProcessors() const {

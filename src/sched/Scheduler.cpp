@@ -52,12 +52,12 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
     uint64_t Base = FromNewQueue ? cost::DispatchNewBase : cost::DispatchSuspBase;
     Cycles += Base;
     P.charge(Cycles);
-    // Table-1 attribution covers future-created tasks: the *initial*
-    // dispatch of an evaluation's root task is launch overhead, not part
-    // of the future protocol (its suspended-queue wakeups are: they are
-    // exactly Table 1's step 6).
+    // Table-1 attribution covers future-created tasks: a new-queue
+    // dispatch of a launch's root task is launch overhead, not part of the
+    // future protocol (its suspended-queue wakeups are: they are exactly
+    // Table 1's step 6).
     bool IsRootLaunch = FromNewQueue && T->ResultFuture.isFuture() &&
-                        T->ResultFuture.pointee() == E.rootFutureObject();
+                        E.isLaunchRoot(T->ResultFuture.pointee());
     if (!IsRootLaunch) {
       // Charge the queue operation itself to the step, not the incidental
       // probing of other queues on the way (the paper's figures assume the

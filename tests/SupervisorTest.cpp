@@ -309,6 +309,41 @@ TEST(SupervisorTest, EscalatePolicyEndsTheWholeRun) {
   EXPECT_EQ(E.stats().SupervisorEscalations, 1u);
 }
 
+TEST(SupervisorTest, RestartsPendingWhenARunEndsDieWithIt) {
+  // Launch 0 trips its budget and schedules a far-off restart; launch 1
+  // then escalates and ends the run. The pending restart belongs to that
+  // run: a later top-level eval that goes quiescent must report its
+  // deadlock, not fast-forward to the stale restart and rerun launch 0.
+  EngineConfig C = config(2);
+  C.InlineThreshold = 0;
+  Engine E(C);
+  std::vector<GroupLaunch> L(2);
+  L[0].Source = spinSrc(100000);
+  L[0].CycleBudget = 2000;
+  L[0].Supervise = "restart:max=3,backoff=1000000";
+  L[1].Source = "(begin " + spinSrc(2000) + " (car 6))";
+  L[1].Supervise = "escalate";
+  std::vector<EvalResult> R = E.evalGroups(L);
+  ASSERT_EQ(R.size(), 2u);
+  EXPECT_EQ(E.stats().BudgetStops, 1u);
+  EXPECT_EQ(E.stats().SupervisorEscalations, 1u);
+  ASSERT_NE(R[0].StoppedGroup, InvalidGroup) << R[0].Error;
+  GroupId Pending = R[0].StoppedGroup;
+
+  E.resetStats();
+  EvalResult D = E.eval("(let ((x (make-semaphore)))"
+                        "  (let ((f (future (begin (semaphore-p x) 7))))"
+                        "    (semaphore-v x) (touch f)))");
+  EXPECT_EQ(static_cast<int>(D.K), static_cast<int>(EvalResult::Kind::Deadlock))
+      << D.Error;
+  EXPECT_EQ(E.stats().SupervisorRestarts, 0u);
+  EXPECT_EQ(E.stats().SupervisorGaveUp, 0u);
+  EXPECT_LT(E.stats().ElapsedCycles, 10000u);
+  const Group *G = E.findGroup(Pending);
+  EXPECT_EQ(static_cast<int>(G->State), static_cast<int>(GroupState::Stopped));
+  EXPECT_EQ(G->Condition.rfind("group-cycle-budget", 0), 0u) << G->Condition;
+}
+
 TEST(SupervisorTest, AdmissionGateQueuesInFifoOrderAndDrains) {
   EngineConfig C = config(2);
   C.MaxLiveGroups = 1;

@@ -624,6 +624,116 @@ TEST(MetricsTest, RunTotalsAreProcessorSumsOnEveryExit) {
   EXPECT_GT(E.stats().ElapsedCycles, 0u);
 }
 
+/// What a finished run leaves for its caller to see, in comparable form.
+std::string runFacts(Engine &E, const EvalResult &R) {
+  std::string Out = strFormat(
+      "kind %d; error `%s`; value %s; stopped group %u; stopped {",
+      static_cast<int>(R.K), R.Error.c_str(), valueToString(R.Val).c_str(),
+      R.StoppedGroup);
+  for (GroupId G : E.stoppedGroups())
+    Out += strFormat(" %u", G);
+  const HeapFacts &H = R.Heap;
+  Out += strFormat(" }; elapsed %llu; steps %llu; heap %zu/%zu, %llu "
+                   "collections, wedged %d, offender %u (%llu words)",
+                   static_cast<unsigned long long>(E.stats().ElapsedCycles),
+                   static_cast<unsigned long long>(E.stats().Steps.total()),
+                   H.UsedWords, H.CapacityWords,
+                   static_cast<unsigned long long>(H.Collections),
+                   H.CollectorWedged, H.OffenderGroup,
+                   static_cast<unsigned long long>(H.OffenderLiveWords));
+  for (unsigned I = 0; I < E.machine().numProcessors(); ++I) {
+    const Processor &P = E.machine().processor(I);
+    Out += strFormat("; p%u busy %llu idle %llu gc %llu", I,
+                     static_cast<unsigned long long>(P.BusyCycles),
+                     static_cast<unsigned long long>(P.IdleCycles),
+                     static_cast<unsigned long long>(P.GcCycles));
+  }
+  return Out;
+}
+
+TEST(MetricsTest, TopLevelEvalIsAOneLaunchRun) {
+  // The programs and exits of RunTotalsAreProcessorSumsOnEveryExit, plus
+  // a processor kill that orphans work with recovery off.
+  const char *Spawn = R"lisp(
+    (define (spawn n)
+      (if (= n 0) '()
+          (cons (future (let loop ((i 0))
+                          (if (= i 400) (* n n) (loop (+ i 1)))))
+                (spawn (- n 1)))))
+    (define (drain l acc)
+      (if (null? l) acc (drain (cdr l) (+ acc (touch (car l))))))
+    (define (build n) (if (= n 0) '() (cons n (build (- n 1)))))
+    (define (spawn-build n)
+      (if (= n 0) '() (cons (future (build 300)) (spawn-build (- n 1)))))
+  )lisp";
+  struct Case {
+    const char *Name;
+    void (*Tune)(EngineConfig &);
+    const char *Program;
+    EvalResult::Kind Kind;
+  };
+  const Case Cases[] = {
+      {"completed", [](EngineConfig &) {}, "(drain (spawn 24) 0)",
+       EvalResult::Kind::Value},
+      {"group stopped by an error", [](EngineConfig &) {},
+       "(begin (drain (spawn 24) 0) (error \"boom\"))",
+       EvalResult::Kind::RuntimeError},
+      {"deadlock", [](EngineConfig &C) { C.InlineThreshold = 0; },
+       "(let ((x (make-semaphore)))"
+       "  (let ((f (future (begin (semaphore-p x) 7))))"
+       "    (semaphore-v x) (touch f)))",
+       EvalResult::Kind::Deadlock},
+      {"heap exhausted",
+       [](EngineConfig &C) {
+         C.HeapWords = 1 << 13;
+         C.ChunkWords = 1024;
+       },
+       "(map touch (spawn-build 40))", EvalResult::Kind::HeapExhausted},
+      {"group stopped by heap exhaustion",
+       [](EngineConfig &C) {
+         C.NumProcessors = 1;
+         C.HeapWords = 1 << 12;
+         C.ChunkWords = 256;
+         C.LargeObjectWords = 256;
+       },
+       "(define keep (build 5000))", EvalResult::Kind::HeapExhausted},
+      {"cycle limit", [](EngineConfig &C) { C.MaxRunCycles = 200000; },
+       "(begin (spawn 24) (let loop () (loop)))",
+       EvalResult::Kind::CycleLimit},
+      {"watchdog", [](EngineConfig &C) { C.MaxCycles = 200000; },
+       "(begin (spawn 24) (let loop () (loop)))",
+       EvalResult::Kind::RuntimeError},
+      {"orphaned by a processor kill",
+       [](EngineConfig &C) {
+         C.Faults = "proc-kill=1@3000";
+         C.Recovery = false;
+       },
+       "(drain (spawn 24) 0)", EvalResult::Kind::RuntimeError},
+  };
+  for (const Case &K : Cases) {
+    EngineConfig C = config(4);
+    C.CheckpointEvery = 2000;
+    K.Tune(C);
+    Engine Top(C), Launched(C);
+    evalOk(Top, Spawn);
+    evalOk(Launched, Spawn);
+    Top.resetStats();
+    Launched.resetStats();
+    EvalResult R = Top.eval(K.Program);
+    std::vector<GroupLaunch> L(1);
+    L[0].Source = K.Program;
+    std::vector<EvalResult> RL = Launched.evalGroups(L);
+    ASSERT_EQ(RL.size(), 1u);
+    EXPECT_EQ(static_cast<int>(R.K), static_cast<int>(K.Kind))
+        << K.Name << ": " << R.Error;
+    // A heap condition reports the heap it hit, whichever way it ended.
+    EXPECT_EQ(R.Heap.CapacityWords > 0,
+              K.Kind == EvalResult::Kind::HeapExhausted)
+        << K.Name;
+    EXPECT_EQ(runFacts(Top, R), runFacts(Launched, RL[0])) << K.Name;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Group-stop vetting (the dispatch-side bugfix paths)
 //===----------------------------------------------------------------------===//
