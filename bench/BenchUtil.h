@@ -105,14 +105,9 @@ inline void reportRun(Engine &E, const std::string &Tag) {
       if (Id == Telemetry::InvalidId)
         continue;
       LatencyHistogram H = T.merged(Id);
-      std::string N = Name;
-      N.resize(N.size() - 7); // strip "_cycles"
-      for (char &C : N)
-        if (C == '_')
-          C = '-';
       std::printf(";; histo: %s %s n=%llu sum=%llu p50=%llu p90=%llu "
                   "p99=%llu max=%llu\n",
-                  Tag.c_str(), N.c_str(),
+                  Tag.c_str(), displayName(Name).c_str(),
                   static_cast<unsigned long long>(H.count()),
                   static_cast<unsigned long long>(H.sum()),
                   static_cast<unsigned long long>(H.percentile(50)),
@@ -120,54 +115,40 @@ inline void reportRun(Engine &E, const std::string &Tag) {
                   static_cast<unsigned long long>(H.percentile(99)),
                   static_cast<unsigned long long>(H.max()));
     }
+    const EngineStats &S = E.stats();
+    struct MetricLine {
+      const char *Name;
+      uint64_t Value;
+    };
     if (E.faults().armed()) {
-      std::printf(";; fault-metrics: %s faults-injected %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().FaultsInjected));
-      std::printf(";; fault-metrics: %s heap-exhausted-stops %llu\n",
-                  Tag.c_str(),
-                  static_cast<unsigned long long>(
-                      E.stats().HeapExhaustedStops));
-      std::printf(";; fault-metrics: %s deadlocks-detected %llu\n",
-                  Tag.c_str(),
-                  static_cast<unsigned long long>(
-                      E.stats().DeadlocksDetected));
-      std::printf(";; fault-metrics: %s procs-killed %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().ProcsKilled));
-      std::printf(";; fault-metrics: %s tasks-recovered %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().TasksRecovered));
-      std::printf(";; fault-metrics: %s tasks-orphaned %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().TasksOrphaned));
-      std::printf(";; fault-metrics: %s recovery-cycles %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().RecoveryCycles));
-      // Checkpoint counters only exist when the policy is armed; keep
-      // faulted-but-uncheckpointed outputs structurally unchanged.
-      if (E.config().CheckpointEvery) {
-        std::printf(";; fault-metrics: %s checkpoints-taken %llu\n",
-                    Tag.c_str(),
-                    static_cast<unsigned long long>(
-                        E.stats().CheckpointsTaken));
-        std::printf(";; fault-metrics: %s checkpoint-cycles %llu\n",
-                    Tag.c_str(),
-                    static_cast<unsigned long long>(
-                        E.stats().CheckpointCycles));
-        std::printf(";; fault-metrics: %s tasks-restored %llu\n", Tag.c_str(),
-                    static_cast<unsigned long long>(E.stats().TasksRestored));
-        std::printf(";; fault-metrics: %s max-task-recovery-cycles %llu\n",
-                    Tag.c_str(),
-                    static_cast<unsigned long long>(
-                        E.stats().MaxTaskRecoveryCycles));
-      }
+      const MetricLine FaultLines[] = {
+          {"faults-injected", S.FaultsInjected},
+          {"heap-exhausted-stops", S.HeapExhaustedStops},
+          {"deadlocks-detected", S.DeadlocksDetected},
+          {"procs-killed", S.ProcsKilled},
+          {"tasks-recovered", S.TasksRecovered},
+          {"tasks-orphaned", S.TasksOrphaned},
+          {"recovery-cycles", S.RecoveryCycles},
+          {"checkpoints-taken", S.CheckpointsTaken},
+          {"checkpoint-cycles", S.CheckpointCycles},
+          {"tasks-restored", S.TasksRestored},
+          {"max-task-recovery-cycles", S.MaxTaskRecoveryCycles},
+      };
+      // The last four, the checkpoint counters, exist only when the policy
+      // is armed; faulted-but-uncheckpointed outputs keep their shape.
+      size_t Lines =
+          std::size(FaultLines) - (E.config().CheckpointEvery ? 0 : 4);
+      for (size_t I = 0; I < Lines; ++I)
+        std::printf(";; fault-metrics: %s %s %llu\n", Tag.c_str(),
+                    FaultLines[I].Name,
+                    static_cast<unsigned long long>(FaultLines[I].Value));
     }
     // Tenant fault-domain counters, emitted only when the layer is armed
     // (MULT_QUOTA/MULT_SUPERVISE or an evalGroups run), mirroring the
     // fault-metrics contract: tools/collect_metrics.py hard-fails on
     // these lines unless invoked with --tenant.
     if (E.tenantArmed()) {
-      const EngineStats &S = E.stats();
-      struct {
-        const char *Name;
-        uint64_t Value;
-      } TenantLines[] = {
+      const MetricLine TenantLines[] = {
           {"quota-stops", S.QuotaStops},
           {"budget-stops", S.BudgetStops},
           {"quota-grace-gcs", S.QuotaGraceGcs},
@@ -188,14 +169,9 @@ inline void reportRun(Engine &E, const std::string &Tag) {
         if (Id == Telemetry::InvalidId)
           continue;
         LatencyHistogram H = T.merged(Id);
-        std::string N = Name;
-        N.resize(N.size() - 7); // strip "_cycles"
-        for (char &C : N)
-          if (C == '_')
-            C = '-';
         std::printf(";; tenant-metrics: %s histo %s n=%llu sum=%llu "
                     "p50=%llu p99=%llu max=%llu\n",
-                    Tag.c_str(), N.c_str(),
+                    Tag.c_str(), displayName(Name).c_str(),
                     static_cast<unsigned long long>(H.count()),
                     static_cast<unsigned long long>(H.sum()),
                     static_cast<unsigned long long>(H.percentile(50)),

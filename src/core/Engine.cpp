@@ -445,7 +445,7 @@ void Engine::finishTask(Task &T) {
 
 Object *Engine::tryAlloc(Processor &P, TypeTag Tag, uint32_t SizeWords,
                          uint64_t &Cycles, uint8_t Flags) {
-  if (Injector.armed() && Injector.shouldFailAlloc()) {
+  if (Injector.armed() && Injector.fires(FaultKind::AllocFail)) {
     // Behaves exactly like a full heap: the VM requests a collection and
     // retries the instruction, which succeeds (the injector marks the
     // failure so the machine's exhaustion heuristics ignore this round).
@@ -571,25 +571,23 @@ bool Engine::pollGcKill(uint64_t Clock, unsigned &Victim) {
     return false;
   uint64_t Start = TheMachine.runStartClock();
   uint64_t Rel = Clock > Start ? Clock - Start : 0;
-  unsigned V;
-  uint64_t Mark;
-  if (!Injector.takeProcKill(Rel, V, Mark))
+  FaultEntry M;
+  if (!Injector.takeMark(FaultKind::ProcKill, Rel, M) ||
+      !canFailStop(unsigned(M.Arg)))
     return false;
-  // Mirror the machine's quantum-poll guards: bogus processor ids and
-  // kills that would leave no live processor are consumed as no-ops.
-  if (V >= TheMachine.numProcessors() || TheMachine.processor(V).Dead)
-    return false;
-  unsigned Doomed = 0;
-  for (const PendingGcKill &K : PendingGcKills) {
-    if (K.Victim == V)
-      return false;
-    ++Doomed;
-  }
-  if (TheMachine.liveProcessors() <= Doomed + 1)
-    return false;
-  PendingGcKills.push_back({V, Mark});
-  Victim = V;
+  PendingGcKills.push_back({unsigned(M.Arg), M.Key});
+  Victim = unsigned(M.Arg);
   return true;
+}
+
+bool Engine::canFailStop(unsigned Victim) const {
+  if (Victim >= TheMachine.numProcessors() ||
+      TheMachine.processor(Victim).Dead)
+    return false;
+  for (const PendingGcKill &K : PendingGcKills)
+    if (K.Victim == Victim)
+      return false;
+  return TheMachine.liveProcessors() > PendingGcKills.size() + 1;
 }
 
 //===----------------------------------------------------------------------===//
@@ -696,14 +694,16 @@ void Engine::scanProcessorRoots(unsigned Proc, const RootVisitor &Visit) {
 void Engine::stopGroup(Processor &P, Task &T, std::string Condition,
                        uint32_t StopPop) {
   Group &G = group(T.Group);
-  bool Edge = G.State == GroupState::Running;
+  // A future can outlive its group's root; its stop reopens the finished
+  // group, so the breakloop can still reach it.
+  bool Edge = G.State == GroupState::Running || G.State == GroupState::Done;
   T.State = TaskState::Stopped;
   T.StopCondition = Condition;
   T.StopPop = StopPop;
   T.StopRestartable = false;
   if (TheTracer.enabled())
     TheTracer.record(TraceEventKind::TaskStopped, P.Id, P.Clock, T.Id);
-  if (G.State == GroupState::Running) {
+  if (Edge) {
     G.State = GroupState::Stopped;
     G.CurrentTask = T.Id;
     G.Condition = Condition;
@@ -732,8 +732,9 @@ void Engine::stopGroup(Processor &P, Task &T, std::string Condition,
   ++P.HandlerActivations;
   P.charge(cost::GroupStop);
   P.charge(TermLock.acquire(P.Clock, cost::TerminalLockHold));
-  // Only the Running -> Stopped transition can end a launch: a sibling
-  // orphan joining an already-stopped group is not a second edge.
+  // Only the edge into Stopped can end a launch: a sibling orphan joining
+  // an already-stopped group is not a second edge, and a finished group
+  // has no open launch.
   if (Edge)
     onGroupStopped(P.Id, P.Clock, G.Id);
 }
@@ -786,7 +787,9 @@ EvalResult Engine::resumeGroup(GroupId Id, Value ResumeValue) {
     }
   }
   G->Parked.clear();
-  G->State = GroupState::Running;
+  // A group stopped after its root resolved resumes finished: its launch
+  // has nothing to wait for, and the resumed tasks run with later runs.
+  G->State = G->RootResolved ? GroupState::Done : GroupState::Running;
   StoppedStack.erase(
       std::remove(StoppedStack.begin(), StoppedStack.end(), Id),
       StoppedStack.end());
@@ -1274,6 +1277,7 @@ bool Engine::noteLaunchRootResolved(const Object *Fut) {
   GroupId Gid = futureGroup(Fut);
   Group &G = Groups[Gid];
   G.State = GroupState::Done;
+  G.RootResolved = true;
   if (Launch *L = openLaunch(Gid)) {
     if (L->Gated)
       Super.note(strFormat("done: group %u \"%s\"", Gid, G.Banner.c_str()));
@@ -1708,8 +1712,9 @@ EvalResult Engine::runTopLevelLaunch(GroupId Gid) {
   L.Gid = Gid;
   L.RootFuture = Groups[Gid].RootFuture;
   L.Admitted = true; // it bypasses the gate but holds a live slot
+  L.Terminal = Groups[Gid].State == GroupState::Done;
   Launches.push_back(L);
-  LiveLaunches = OpenLaunches = 1;
+  LiveLaunches = OpenLaunches = L.Terminal ? 0 : 1;
   std::vector<EvalResult> Results(1);
   runLaunches(Results);
   return Results[0];

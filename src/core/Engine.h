@@ -489,6 +489,11 @@ public:
   }
   /// @}
 
+  /// True when a proc-kill may fail-stop processor \p Victim: a valid id,
+  /// not dead nor doomed by a kill inside the current collection, and
+  /// leaving at least one live processor. Other kills are consumed as
+  /// no-ops: an unrunnable machine helps nobody.
+  bool canFailStop(unsigned Victim) const;
   /// Fail-stop recovery for a just-killed processor \p Dead: drains its
   /// queues, re-spawns every recoverable lost task from its spawn lineage
   /// onto survivors, and stops the groups of unrecoverable ones with a

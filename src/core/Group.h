@@ -40,6 +40,9 @@ struct Group {
   std::string Banner;
   /// Future resolved by the group's root task.
   Value RootFuture = Value::nil();
+  /// The root future has resolved. A stop after that comes from a future
+  /// that outlived the root, and resuming the group leaves it Done.
+  bool RootResolved = false;
   /// All member tasks ever created (ids; tasks may be recycled after Done).
   std::vector<TaskId> Members;
   /// Runnable members that a processor popped while the group was stopped;

@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fault-plan spec parsing and formatting.
+/// The fault-clause table, and spec parsing and formatting over it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,76 +14,61 @@
 
 namespace mult {
 
-const char *faultKindName(FaultKind K) {
-  switch (K) {
-  case FaultKind::AllocFail:
-    return "alloc-fail";
-  case FaultKind::SpuriousGc:
-    return "spurious-gc";
-  case FaultKind::SpawnError:
-    return "spawn-error";
-  case FaultKind::TouchError:
-    return "touch-error";
-  case FaultKind::StealFail:
-    return "steal-fail";
-  case FaultKind::QueueClamp:
-    return "queue-clamp";
-  case FaultKind::Stall:
-    return "stall";
-  case FaultKind::AdaptClamp:
-    return "adapt-clamp";
-  case FaultKind::AdaptReset:
-    return "adapt-reset";
-  case FaultKind::ProcKill:
-    return "proc-kill";
-  case FaultKind::SeamSplitFail:
-    return "seam-split-fail";
-  case FaultKind::QuotaSqueeze:
-    return "quota-squeeze";
-  case FaultKind::AdmitBurst:
-    return "admit-burst";
-  }
-  return "unknown-fault";
-}
-
-bool FaultPlan::empty() const {
-  return AllocFailAt.empty() && AllocFailEvery == 0 && GcAtCycles.empty() &&
-         SpawnErrorAt.empty() && TouchErrorAt.empty() && StealFailProb == 0.0 &&
-         StealFailAt.empty() && !QueueCap && Stalls.empty() &&
-         AdaptClamps.empty() && AdaptResetAt.empty() && ProcKills.empty() &&
-         SeamSplitFailAt.empty() && QuotaSqueezes.empty() &&
-         AdmitBursts.empty();
-}
-
 namespace {
 
-void sortUnique(std::vector<uint64_t> &V) {
-  std::sort(V.begin(), V.end());
-  V.erase(std::unique(V.begin(), V.end()), V.end());
+using S = ClauseShape;
+using K = FaultKind;
+
+const FaultClause Clauses[] = {
+    {"seed", K::StealFail, S::Seed,
+     "PRNG seed of steal-fail (default 0x4d756c54)"},
+    {"alloc-fail", K::AllocFail, S::Ordinals,
+     "fail the Nth mutator allocation (GC, then retry)"},
+    {"alloc-fail-every", K::AllocFail, S::Every,
+     "also fail every Kth allocation (same count)"},
+    {"gc-at", K::SpuriousGc, S::Marks, "force a spurious collection at C"},
+    {"spawn-error", K::SpawnError, S::Ordinals,
+     "raise injected-fault at the Nth future spawn"},
+    {"touch-error", K::TouchError, S::Ordinals,
+     "raise injected-fault at the Nth touch"},
+    {"steal-fail", K::StealFail, S::Probability,
+     "fail each steal probe with probability P"},
+    {"steal-fail-at", K::StealFail, S::Ordinals,
+     "also fail the Nth steal probe (same count)"},
+    {"queue-cap", K::QueueClamp, S::Cap,
+     "inline futures once Q tasks are queued locally"},
+    {"stall", K::Stall, S::Windows,
+     "take processor P offline for L cycles from B"},
+    {"adapt-clamp", K::AdaptClamp, S::Clamps,
+     "clamp T to V as the Nth adaptation window closes"},
+    {"adapt-reset", K::AdaptReset, S::Ordinals,
+     "discard the Nth adaptation window's samples"},
+    {"proc-kill", K::ProcKill, S::Targets,
+     "fail-stop processor A at C (never the last)"},
+    {"seam-split-fail", K::SeamSplitFail, S::Ordinals,
+     "fail the Nth lazy-future seam-split attempt"},
+    {"quota-squeeze", K::QuotaSqueeze, S::Targets,
+     "clamp group A's heap quota to half at C"},
+    {"admit-burst", K::AdmitBurst, S::Bursts,
+     "push N synthetic launches through the gate at C"},
+};
+
+bool isScalar(ClauseShape Shape) { return Shape >= S::Seed; }
+
+/// Shapes whose entries carry no Arg: sorted and deduplicated.
+bool isPlainList(ClauseShape Shape) {
+  return Shape == S::Ordinals || Shape == S::Marks;
 }
 
-std::string joinList(const std::vector<uint64_t> &V) {
-  std::string S;
-  for (size_t I = 0; I < V.size(); ++I) {
-    if (I)
-      S += ",";
-    S += std::to_string(V[I]);
-  }
-  return S;
+const FaultClause *findClause(std::string_view Key) {
+  for (const FaultClause &C : Clauses)
+    if (Key == C.Key)
+      return &C;
+  return nullptr;
 }
 
-bool parseU64List(std::string_view S, std::vector<uint64_t> &Out) {
-  for (std::string_view Part : splitOn(S, ",")) {
-    uint64_t V;
-    if (!parseU64(trim(Part), V))
-      return false;
-    Out.push_back(V);
-  }
-  return !Out.empty();
-}
-
-bool parseProb(std::string_view S, double &Out) {
-  std::string Buf(S);
+bool parseProb(std::string_view Text, double &Out) {
+  std::string Buf(Text);
   char *End = nullptr;
   double V = std::strtod(Buf.c_str(), &End);
   if (End != Buf.c_str() + Buf.size() || V < 0.0 || V > 1.0)
@@ -92,147 +77,133 @@ bool parseProb(std::string_view S, double &Out) {
   return true;
 }
 
-/// One stall window: PROC@BEGIN+LENGTH.
-bool parseStall(std::string_view S, FaultPlan::StallWindow &Out) {
-  size_t At = S.find('@');
+/// One list entry of \p Shape; each number may carry blanks around it.
+bool parseEntry(ClauseShape Shape, std::string_view Text, FaultEntry &E) {
+  Text = trim(Text);
+  if (isPlainList(Shape))
+    return parseU64(Text, E.Key) && (Shape == S::Marks || E.Key != 0);
+  size_t At = Text.find('@');
   if (At == std::string_view::npos)
     return false;
-  size_t Plus = S.find('+', At + 1);
-  if (Plus == std::string_view::npos)
+  std::string_view Lhs = trim(Text.substr(0, At));
+  std::string_view Rhs = Text.substr(At + 1);
+  switch (Shape) {
+  case S::Clamps:
+    return parseU64(Lhs, E.Key) && parseU64(trim(Rhs), E.Arg) && E.Key != 0 &&
+           E.Arg <= 0xffffffffull;
+  case S::Targets:
+  case S::Bursts:
+    return parseU64(Lhs, E.Arg) && parseU64(trim(Rhs), E.Key) &&
+           E.Arg <= 0xffff && (Shape == S::Targets || E.Arg != 0);
+  case S::Windows: {
+    size_t Plus = Rhs.find('+');
+    return Plus != std::string_view::npos && parseU64(Lhs, E.Arg) &&
+           parseU64(trim(Rhs.substr(0, Plus)), E.Key) &&
+           parseU64(trim(Rhs.substr(Plus + 1)), E.Len) && E.Arg <= 0xffff &&
+           E.Len != 0;
+  }
+  default:
     return false;
-  uint64_t Proc, Begin, Length;
-  if (!parseU64(trim(S.substr(0, At)), Proc) ||
-      !parseU64(trim(S.substr(At + 1, Plus - At - 1)), Begin) ||
-      !parseU64(trim(S.substr(Plus + 1)), Length))
-    return false;
-  if (Proc > 0xffff || Length == 0)
-    return false;
-  Out.Proc = unsigned(Proc);
-  Out.Begin = Begin;
-  Out.Length = Length;
+  }
+}
+
+bool parseValue(const FaultClause &C, std::string_view Val, FaultPlan &Out) {
+  switch (C.Shape) {
+  case S::Seed:
+    return parseU64(Val, Out.Seed);
+  case S::Every:
+    return parseU64(Val, Out.AllocFailEvery) && Out.AllocFailEvery != 0;
+  case S::Probability:
+    return parseProb(Val, Out.StealFailProb);
+  case S::Cap: {
+    uint64_t Cap;
+    if (!parseU64(Val, Cap) || Cap > 0xffffffffull)
+      return false;
+    Out.QueueCap = uint32_t(Cap);
+    return true;
+  }
+  default:
+    break;
+  }
+  for (std::string_view Part : splitOn(Val, ",")) {
+    FaultEntry E;
+    if (!parseEntry(C.Shape, Part, E))
+      return false;
+    Out.Lists[size_t(C.Kind)].push_back(E);
+  }
   return true;
 }
 
-std::string formatProb(double P) {
-  std::string S = strFormat("%g", P);
-  return S;
+std::string formatEntry(ClauseShape Shape, const FaultEntry &E) {
+  auto U = [](uint64_t V) { return (unsigned long long)V; };
+  switch (Shape) {
+  case S::Clamps:
+    return strFormat("%llu@%llu", U(E.Key), U(E.Arg));
+  case S::Targets:
+  case S::Bursts:
+    return strFormat("%llu@%llu", U(E.Arg), U(E.Key));
+  case S::Windows:
+    return strFormat("%llu@%llu+%llu", U(E.Arg), U(E.Key), U(E.Len));
+  default:
+    return std::to_string(E.Key);
+  }
 }
 
-/// One processor kill: PROC@CYCLES.
-bool parseProcKill(std::string_view S, FaultPlan::ProcKillAt &Out) {
-  size_t At = S.find('@');
-  if (At == std::string_view::npos)
-    return false;
-  uint64_t Proc, Cycles;
-  if (!parseU64(trim(S.substr(0, At)), Proc) ||
-      !parseU64(trim(S.substr(At + 1)), Cycles))
-    return false;
-  if (Proc > 0xffff)
-    return false;
-  Out.Proc = unsigned(Proc);
-  Out.AtCycles = Cycles;
-  return true;
-}
-
-/// One adapt clamp: WINDOW@VALUE.
-bool parseAdaptClamp(std::string_view S, FaultPlan::AdaptClampAt &Out) {
-  size_t At = S.find('@');
-  if (At == std::string_view::npos)
-    return false;
-  uint64_t Window, Value;
-  if (!parseU64(trim(S.substr(0, At)), Window) ||
-      !parseU64(trim(S.substr(At + 1)), Value))
-    return false;
-  if (Window == 0 || Value > 0xffffffffull)
-    return false;
-  Out.Window = Window;
-  Out.Value = uint32_t(Value);
-  return true;
+/// The value format() prints for \p C; empty when the clause is unset.
+std::string formatValue(const FaultPlan &P, const FaultClause &C) {
+  switch (C.Shape) {
+  case S::Seed:
+    return P.Seed != FaultPlan().Seed ? std::to_string(P.Seed) : "";
+  case S::Every:
+    return P.AllocFailEvery ? std::to_string(P.AllocFailEvery) : "";
+  case S::Probability:
+    return P.StealFailProb != 0.0 ? strFormat("%g", P.StealFailProb) : "";
+  case S::Cap:
+    return P.QueueCap ? std::to_string(*P.QueueCap) : "";
+  default:
+    break;
+  }
+  std::string Out;
+  for (const FaultEntry &E : P.Lists[size_t(C.Kind)]) {
+    if (!Out.empty())
+      Out += ",";
+    Out += formatEntry(C.Shape, E);
+  }
+  return Out;
 }
 
 } // namespace
 
+std::span<const FaultClause> faultClauses() { return Clauses; }
+
+std::string clauseSyntax(const FaultClause &C) {
+  static const char *const Syntax[] = {
+      "N[,N...]", "N@V[,...]", "C[,C...]", "A@C[,...]", "N@C[,...]",
+      "P@B+L[,...]", "U64", "K", "P", "Q"};
+  return std::string(C.Key) + "=" + Syntax[size_t(C.Shape)];
+}
+
+bool FaultPlan::empty() const {
+  // The seed alone never fires anything.
+  return std::all_of(std::begin(Clauses), std::end(Clauses),
+                     [&](const FaultClause &C) {
+                       return C.Shape == S::Seed ||
+                              formatValue(*this, C).empty();
+                     });
+}
+
 std::string FaultPlan::format() const {
-  std::string S;
-  auto Clause = [&](const std::string &C) {
-    if (!S.empty())
-      S += ";";
-    S += C;
-  };
-  if (Seed != FaultPlan().Seed)
-    Clause("seed=" + std::to_string(Seed));
-  if (!AllocFailAt.empty())
-    Clause("alloc-fail=" + joinList(AllocFailAt));
-  if (AllocFailEvery)
-    Clause("alloc-fail-every=" + std::to_string(AllocFailEvery));
-  if (!GcAtCycles.empty())
-    Clause("gc-at=" + joinList(GcAtCycles));
-  if (!SpawnErrorAt.empty())
-    Clause("spawn-error=" + joinList(SpawnErrorAt));
-  if (!TouchErrorAt.empty())
-    Clause("touch-error=" + joinList(TouchErrorAt));
-  if (StealFailProb != 0.0)
-    Clause("steal-fail=" + formatProb(StealFailProb));
-  if (!StealFailAt.empty())
-    Clause("steal-fail-at=" + joinList(StealFailAt));
-  if (QueueCap)
-    Clause("queue-cap=" + std::to_string(*QueueCap));
-  if (!Stalls.empty()) {
-    std::string L;
-    for (size_t I = 0; I < Stalls.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu+%llu", Stalls[I].Proc,
-                     (unsigned long long)Stalls[I].Begin,
-                     (unsigned long long)Stalls[I].Length);
-    }
-    Clause("stall=" + L);
+  std::string Out;
+  for (const FaultClause &C : Clauses) {
+    std::string V = formatValue(*this, C);
+    if (V.empty())
+      continue;
+    if (!Out.empty())
+      Out += ";";
+    Out += C.Key;
+    Out += "=" + V;
   }
-  if (!AdaptClamps.empty()) {
-    std::string L;
-    for (size_t I = 0; I < AdaptClamps.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%llu@%u", (unsigned long long)AdaptClamps[I].Window,
-                     AdaptClamps[I].Value);
-    }
-    Clause("adapt-clamp=" + L);
-  }
-  if (!AdaptResetAt.empty())
-    Clause("adapt-reset=" + joinList(AdaptResetAt));
-  if (!ProcKills.empty()) {
-    std::string L;
-    for (size_t I = 0; I < ProcKills.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu", ProcKills[I].Proc,
-                     (unsigned long long)ProcKills[I].AtCycles);
-    }
-    Clause("proc-kill=" + L);
-  }
-  if (!SeamSplitFailAt.empty())
-    Clause("seam-split-fail=" + joinList(SeamSplitFailAt));
-  if (!QuotaSqueezes.empty()) {
-    std::string L;
-    for (size_t I = 0; I < QuotaSqueezes.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu", QuotaSqueezes[I].Proc,
-                     (unsigned long long)QuotaSqueezes[I].AtCycles);
-    }
-    Clause("quota-squeeze=" + L);
-  }
-  if (!AdmitBursts.empty()) {
-    std::string L;
-    for (size_t I = 0; I < AdmitBursts.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu", AdmitBursts[I].Proc,
-                     (unsigned long long)AdmitBursts[I].AtCycles);
-    }
-    Clause("admit-burst=" + L);
-  }
-  return S;
+  return Out;
 }
 
 bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
@@ -247,133 +218,32 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
       return false;
     }
     std::string_view Key = trim(C.substr(0, Eq));
-    std::string_view Val = trim(C.substr(Eq + 1));
-    bool Ok;
-    if (Key == "seed") {
-      Ok = parseU64(Val, Out.Seed);
-    } else if (Key == "alloc-fail") {
-      Ok = parseU64List(Val, Out.AllocFailAt);
-      Ok = Ok && std::find(Out.AllocFailAt.begin(), Out.AllocFailAt.end(),
-                           0ull) == Out.AllocFailAt.end();
-    } else if (Key == "alloc-fail-every") {
-      Ok = parseU64(Val, Out.AllocFailEvery) && Out.AllocFailEvery != 0;
-    } else if (Key == "gc-at") {
-      Ok = parseU64List(Val, Out.GcAtCycles);
-    } else if (Key == "spawn-error") {
-      Ok = parseU64List(Val, Out.SpawnErrorAt);
-      Ok = Ok && std::find(Out.SpawnErrorAt.begin(), Out.SpawnErrorAt.end(),
-                           0ull) == Out.SpawnErrorAt.end();
-    } else if (Key == "touch-error") {
-      Ok = parseU64List(Val, Out.TouchErrorAt);
-      Ok = Ok && std::find(Out.TouchErrorAt.begin(), Out.TouchErrorAt.end(),
-                           0ull) == Out.TouchErrorAt.end();
-    } else if (Key == "steal-fail") {
-      Ok = parseProb(Val, Out.StealFailProb);
-    } else if (Key == "steal-fail-at") {
-      Ok = parseU64List(Val, Out.StealFailAt);
-      Ok = Ok && std::find(Out.StealFailAt.begin(), Out.StealFailAt.end(),
-                           0ull) == Out.StealFailAt.end();
-    } else if (Key == "queue-cap") {
-      uint64_t Cap;
-      Ok = parseU64(Val, Cap) && Cap <= 0xffffffffull;
-      if (Ok)
-        Out.QueueCap = uint32_t(Cap);
-    } else if (Key == "stall") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ",")) {
-        StallWindow W;
-        if (!parseStall(trim(Part), W)) {
-          Ok = false;
-          break;
-        }
-        Out.Stalls.push_back(W);
-      }
-    } else if (Key == "adapt-clamp") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ",")) {
-        AdaptClampAt A;
-        if (!parseAdaptClamp(trim(Part), A)) {
-          Ok = false;
-          break;
-        }
-        Out.AdaptClamps.push_back(A);
-      }
-    } else if (Key == "adapt-reset") {
-      Ok = parseU64List(Val, Out.AdaptResetAt);
-      Ok = Ok && std::find(Out.AdaptResetAt.begin(), Out.AdaptResetAt.end(),
-                           0ull) == Out.AdaptResetAt.end();
-    } else if (Key == "proc-kill") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ",")) {
-        ProcKillAt K;
-        if (!parseProcKill(trim(Part), K)) {
-          Ok = false;
-          break;
-        }
-        Out.ProcKills.push_back(K);
-      }
-    } else if (Key == "quota-squeeze") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ",")) {
-        ProcKillAt Q; // G@C: the Proc field carries the group id
-        if (!parseProcKill(trim(Part), Q)) {
-          Ok = false;
-          break;
-        }
-        Out.QuotaSqueezes.push_back(Q);
-      }
-    } else if (Key == "admit-burst") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ",")) {
-        ProcKillAt B; // N@C: the Proc field carries the burst size
-        if (!parseProcKill(trim(Part), B) || B.Proc == 0) {
-          Ok = false;
-          break;
-        }
-        Out.AdmitBursts.push_back(B);
-      }
-    } else if (Key == "seam-split-fail") {
-      Ok = parseU64List(Val, Out.SeamSplitFailAt);
-      Ok = Ok && std::find(Out.SeamSplitFailAt.begin(),
-                           Out.SeamSplitFailAt.end(),
-                           0ull) == Out.SeamSplitFailAt.end();
-    } else {
+    const FaultClause *Row = findClause(Key);
+    if (!Row) {
       Err = strFormat("unknown fault clause '%.*s'", int(Key.size()),
                       Key.data());
       return false;
     }
-    if (!Ok) {
+    if (!parseValue(*Row, trim(C.substr(Eq + 1)), Out)) {
       Err = strFormat("bad value in clause '%.*s'", int(C.size()), C.data());
       return false;
     }
   }
-  sortUnique(Out.AllocFailAt);
-  sortUnique(Out.GcAtCycles);
-  sortUnique(Out.SpawnErrorAt);
-  sortUnique(Out.TouchErrorAt);
-  sortUnique(Out.StealFailAt);
-  sortUnique(Out.AdaptResetAt);
-  sortUnique(Out.SeamSplitFailAt);
-  std::stable_sort(Out.Stalls.begin(), Out.Stalls.end(),
-                   [](const StallWindow &A, const StallWindow &B) {
-                     return A.Begin < B.Begin;
-                   });
-  std::stable_sort(Out.AdaptClamps.begin(), Out.AdaptClamps.end(),
-                   [](const AdaptClampAt &A, const AdaptClampAt &B) {
-                     return A.Window < B.Window;
-                   });
-  std::stable_sort(Out.ProcKills.begin(), Out.ProcKills.end(),
-                   [](const ProcKillAt &A, const ProcKillAt &B) {
-                     return A.AtCycles < B.AtCycles;
-                   });
-  std::stable_sort(Out.QuotaSqueezes.begin(), Out.QuotaSqueezes.end(),
-                   [](const ProcKillAt &A, const ProcKillAt &B) {
-                     return A.AtCycles < B.AtCycles;
-                   });
-  std::stable_sort(Out.AdmitBursts.begin(), Out.AdmitBursts.end(),
-                   [](const ProcKillAt &A, const ProcKillAt &B) {
-                     return A.AtCycles < B.AtCycles;
-                   });
+  for (const FaultClause &Row : Clauses) {
+    if (isScalar(Row.Shape))
+      continue;
+    std::vector<FaultEntry> &L = Out.Lists[size_t(Row.Kind)];
+    std::stable_sort(L.begin(), L.end(),
+                     [](const FaultEntry &A, const FaultEntry &B) {
+                       return A.Key < B.Key;
+                     });
+    if (isPlainList(Row.Shape))
+      L.erase(std::unique(L.begin(), L.end(),
+                          [](const FaultEntry &A, const FaultEntry &B) {
+                            return A.Key == B.Key;
+                          }),
+              L.end());
+  }
   return true;
 }
 

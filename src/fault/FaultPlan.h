@@ -11,71 +11,22 @@
 /// subject the reproduction to each of those on demand and replay any
 /// failure from its spec string.
 ///
-/// Spec grammar (clauses separated by ';', lists by ','):
-///
-///   seed=U64                 PRNG seed for probabilistic clauses
-///   alloc-fail=N[,N...]      fail the Nth mutator allocation (1-based,
-///                            counted after arming; a real GC then runs
-///                            and the retry succeeds)
-///   alloc-fail-every=K       additionally fail every Kth allocation
-///   gc-at=C[,C...]           force a spurious collection once the run
-///                            clock reaches C (run-start-relative;
-///                            consumed once)
-///   spawn-error=N[,N...]     raise `injected-fault` at the Nth future
-///                            spawn (group stops; resume retries)
-///   touch-error=N[,N...]     raise `injected-fault` at the Nth executed
-///                            touch instruction
-///   steal-fail=P             each steal probe fails with probability P
-///   steal-fail-at=N[,N...]   fail the Nth steal probe exactly
-///   queue-cap=Q              clamp task-queue capacity: futures inline
-///                            when the spawning processor already holds
-///                            >= Q queued tasks (the paper's
-///                            queue-overflow degradation)
-///   stall=P@B+L[,P@B+L...]   processor P goes offline for L cycles once
-///                            the run clock reaches B (run-start-relative;
-///                            models a slow or failed board on the bus)
-///   adapt-clamp=N@V[,...]    when the Nth adaptation window closes
-///                            (machine-wide 1-based ordinal), clamp the
-///                            closing processor's adaptive inlining
-///                            threshold to V and discard its pending
-///                            hysteresis votes
-///   adapt-reset=N[,N...]     when the Nth adaptation window closes,
-///                            discard its samples and pending votes (the
-///                            threshold keeps its value)
-///   proc-kill=P@C[,P@C...]   fail-stop processor P once the run clock
-///                            reaches C (run-start-relative; consumed
-///                            once). The engine drains the dead
-///                            processor's queues onto survivors and
-///                            re-spawns lost futures from their spawn
-///                            lineage (see DESIGN.md, "Processor
-///                            fail-stop and recovery"); killing the last
-///                            live processor is ignored. A mark landing
-///                            inside a collection fires mid-GC: the
-///                            victim dies between its root-scan and copy
-///                            phases and survivors inherit its copy work
-///   seam-split-fail=N[,N...] fail the Nth lazy-future seam-split
-///                            attempt (1-based): the thief backs off and
-///                            the seam stays with its owner, who later
-///                            evaluates it inline
-///   quota-squeeze=G@C[,...]  once the run clock reaches C, clamp group
-///                            G's heap quota to half its current account
-///                            (arming the tenant layer if dormant), as if
-///                            an operator tightened a tenant's envelope
-///                            mid-run; the group trips group-heap-quota
-///                            on its next poll unless it frees memory
-///   admit-burst=N@C[,...]    once the run clock reaches C, push N
-///                            synthetic launch probes through the
-///                            admission gate, exercising the
-///                            admitted/queued/rejected partition without
-///                            creating tasks
+/// A spec is clauses KEY=VALUE separated by ';'. The clause set is one
+/// table, faultClauses(): each row names its key, the FaultKind it fires
+/// and the shape of its value. Parsing, the canonical format(), the
+/// sort/dedup rule and the REPL's `:help` grammar all read the rows, and
+/// the rows' docs are the authoritative grammar.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MULT_FAULT_FAULTPLAN_H
 #define MULT_FAULT_FAULTPLAN_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,53 +50,58 @@ enum class FaultKind : uint8_t {
   QuotaSqueeze, ///< group heap quota clamped at a virtual-time mark
   AdmitBurst,   ///< synthetic launch burst through the admission gate
 };
+constexpr size_t NumFaultKinds = size_t(FaultKind::AdmitBurst) + 1;
 
-/// Human-readable name of \p K ("alloc-fail", "stall", ...).
-const char *faultKindName(FaultKind K);
+/// The shape of a clause's value. List shapes are ','-separated entries:
+/// ordinals (1-based, counted after arming) on the row's site, or marks on
+/// the run-relative clock (cycles since the current run started).
+/// The scalars come last.
+enum class ClauseShape : uint8_t {
+  Ordinals, ///< N[,N...]: the Nth event at the site
+  Clamps,   ///< N@V[,...]: the Nth event forces value V (32-bit)
+  Marks,    ///< C[,C...]: once the run clock reaches C
+  Targets,  ///< A@C[,...]: target A (a processor or group, <= 0xffff) at C
+  Bursts,   ///< N@C[,...]: N >= 1 (<= 0xffff) at C
+  Windows,  ///< P@B+L[,...]: processor P (<= 0xffff) offline from B for
+            ///< L >= 1 cycles
+  Seed,        ///< U64 scalar (FaultPlan::Seed)
+  Every,       ///< K >= 1 scalar (FaultPlan::AllocFailEvery)
+  Probability, ///< P in [0,1] scalar (FaultPlan::StealFailProb)
+  Cap,         ///< 32-bit Q scalar (FaultPlan::QueueCap)
+};
+
+/// One row of the clause table.
+struct FaultClause {
+  const char *Key;
+  /// The kind the clause fires; a list row's entries live in
+  /// FaultPlan::Lists under it (no two list rows share a kind).
+  FaultKind Kind;
+  ClauseShape Shape;
+  const char *Doc; ///< one line for `:help`
+};
+
+/// The clause table, in canonical format() order.
+std::span<const FaultClause> faultClauses();
+
+/// `KEY=` plus the shape's value syntax, e.g. "stall=P@B+L[,...]".
+std::string clauseSyntax(const FaultClause &C);
+
+/// One entry of a list clause.
+struct FaultEntry {
+  uint64_t Key = 0; ///< the ordinal or run-relative mark it fires at
+  uint64_t Arg = 0; ///< the target, count or value (0 for N and C shapes)
+  uint64_t Len = 0; ///< a window's length in cycles
+};
 
 /// A parsed, deterministic fault schedule.
 struct FaultPlan {
   uint64_t Seed = 0x4d756c54;
-
-  std::vector<uint64_t> AllocFailAt; ///< sorted 1-based allocation ordinals
-  uint64_t AllocFailEvery = 0;       ///< 0 = off
-
-  std::vector<uint64_t> GcAtCycles; ///< sorted run-relative cycle marks
-
-  std::vector<uint64_t> SpawnErrorAt; ///< sorted 1-based spawn ordinals
-  std::vector<uint64_t> TouchErrorAt; ///< sorted 1-based touch ordinals
-
+  uint64_t AllocFailEvery = 0; ///< 0 = off
   double StealFailProb = 0.0;
-  std::vector<uint64_t> StealFailAt; ///< sorted 1-based probe ordinals
-
   std::optional<uint32_t> QueueCap;
-
-  struct StallWindow {
-    unsigned Proc = 0;
-    uint64_t Begin = 0;  ///< run-relative cycle the window opens
-    uint64_t Length = 0; ///< cycles the processor stays offline
-  };
-  std::vector<StallWindow> Stalls;
-
-  struct AdaptClampAt {
-    uint64_t Window = 0; ///< machine-wide 1-based window ordinal
-    uint32_t Value = 0;  ///< threshold to force (clamped to the T bounds)
-  };
-  std::vector<AdaptClampAt> AdaptClamps; ///< sorted by Window
-  std::vector<uint64_t> AdaptResetAt;    ///< sorted window ordinals
-
-  struct ProcKillAt {
-    unsigned Proc = 0;
-    uint64_t AtCycles = 0; ///< run-relative cycle the fail-stop fires
-  };
-  std::vector<ProcKillAt> ProcKills; ///< sorted by AtCycles
-
-  std::vector<uint64_t> SeamSplitFailAt; ///< sorted 1-based split ordinals
-
-  /// Tenant-layer marks (ProcKillAt shape: first field names the target
-  /// group / the burst size, AtCycles the run-relative mark).
-  std::vector<ProcKillAt> QuotaSqueezes; ///< sorted by AtCycles
-  std::vector<ProcKillAt> AdmitBursts;   ///< sorted by AtCycles
+  /// The list clauses' entries by FaultKind, sorted by Key: N and C lists
+  /// deduplicated, the rest stable-sorted.
+  std::array<std::vector<FaultEntry>, NumFaultKinds> Lists;
 
   /// True when no clause can ever fire.
   bool empty() const;

@@ -10,6 +10,11 @@
 /// schedule replays exactly. The injector stays disarmed during engine
 /// bootstrap (the prelude must load unmolested) and is armed right after.
 ///
+/// Every site asks one of two queries: the ordinal query (the Nth event at
+/// a counted site) or the clock-mark query (a mark on the run-relative
+/// clock). Each list row keeps its unconsumed entries, and each counted
+/// site one counter.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MULT_FAULT_INJECTOR_H
@@ -34,92 +39,44 @@ public:
   bool armed() const { return Armed; }
   const FaultPlan &plan() const { return Plan; }
 
-  /// True when the current mutator allocation must fail. Marks the
-  /// failure as pending so the scheduler's heap-exhaustion heuristics
-  /// can tell an injected failure from a genuinely full heap.
-  bool shouldFailAlloc();
+  /// The ordinal query: one more event happened at the site of \p K (a
+  /// mutator allocation, future spawn, touch, steal probe, seam-split
+  /// attempt, or closing adaptation window). The injector numbers it with
+  /// its counter of that site, unless the caller numbers the site itself
+  /// and passes the 1-based \p Ordinal (the machine-wide adaptation
+  /// windows). Consumes row \p K's entries up to that ordinal and returns
+  /// true when one is listed there (\p ArgOut = its value, for
+  /// adapt-clamp) or the site's scalar fires: every Kth allocation, or the
+  /// steal-fail draw, taken once per probe whatever the list says. A
+  /// failed allocation is marked pending for consumeInjectedAllocFail().
+  bool fires(FaultKind K, uint64_t Ordinal = 0, uint64_t *ArgOut = nullptr);
 
-  /// Consumes the pending-injected-allocation flag set by
-  /// shouldFailAlloc(). The machine calls this once per NeedsGc round.
+  /// Consumes the pending-injected-allocation flag, so the scheduler's
+  /// heap-exhaustion heuristics can tell an injected failure from a
+  /// genuinely full heap. The machine calls this once per NeedsGc round.
   bool consumeInjectedAllocFail();
-
-  /// If a forced collection is due at run-relative cycle \p RelClock,
-  /// consumes its mark and returns true (\p MarkOut = the mark).
-  bool takeForcedGc(uint64_t RelClock, uint64_t &MarkOut);
-
-  /// True when the current future spawn must raise an injected error.
-  bool shouldErrorSpawn();
-
-  /// True when the current touch instruction must raise an injected
-  /// error.
-  bool shouldErrorTouch();
-
-  /// True when the current steal probe must fail.
-  bool shouldFailSteal();
 
   /// Queue-capacity clamp, if any.
   const std::optional<uint32_t> &queueCap() const { return Plan.QueueCap; }
 
-  /// If processor \p Proc has a stall window opening at or before
-  /// run-relative cycle \p RelClock, consumes it and returns true with
-  /// \p EndRelOut = the run-relative cycle the window closes.
-  bool takeStall(unsigned Proc, uint64_t RelClock, uint64_t &EndRelOut);
-
-  /// If the closing adaptation window \p Ordinal (machine-wide, 1-based)
-  /// has an adapt-clamp clause, consumes it and returns true with
-  /// \p ValueOut = the forced threshold.
-  bool takeAdaptClamp(uint64_t Ordinal, uint32_t &ValueOut);
-
-  /// If the closing adaptation window \p Ordinal has an adapt-reset
-  /// clause, consumes it and returns true.
-  bool takeAdaptReset(uint64_t Ordinal);
-
-  /// If a proc-kill clause is due at or before run-relative cycle
-  /// \p RelClock, consumes it and returns true with \p ProcOut = the
-  /// processor to fail-stop and \p AtOut = the clause's run-relative
-  /// mark (the cycle the processor is deemed dead *from*, which the
-  /// quantum-granular poll may observe late). At most one kill per
-  /// call; the machine polls every quantum, so stacked kills fire on
-  /// consecutive polls.
-  bool takeProcKill(uint64_t RelClock, unsigned &ProcOut, uint64_t &AtOut);
-
-  /// True when the current lazy-future seam-split attempt must fail.
-  bool shouldFailSeamSplit();
-
-  /// If a quota-squeeze clause is due at or before run-relative cycle
-  /// \p RelClock, consumes it and returns true with \p GroupOut = the
-  /// group whose heap quota to clamp. At most one per call, like
-  /// takeProcKill.
-  bool takeQuotaSqueeze(uint64_t RelClock, unsigned &GroupOut,
-                        uint64_t &AtOut);
-
-  /// If an admit-burst clause is due at or before run-relative cycle
-  /// \p RelClock, consumes it and returns true with \p CountOut = the
-  /// number of synthetic launch probes to push through the gate.
-  bool takeAdmitBurst(uint64_t RelClock, unsigned &CountOut, uint64_t &AtOut);
+  /// The clock-mark query: consumes the first entry of row \p K due at or
+  /// before run-relative cycle \p RelClock and returns true with \p Out =
+  /// that entry (Key is its mark, which a quantum-granular poll may
+  /// observe late). A stall fires only for its own processor, the poller
+  /// \p Proc, and a window that has already ended is used up without
+  /// firing. At most one mark fires per call; the machine polls every
+  /// quantum, so stacked marks fire on consecutive polls.
+  bool takeMark(FaultKind K, uint64_t RelClock, FaultEntry &Out,
+                unsigned Proc = 0);
 
 private:
   FaultPlan Plan;
   bool Armed = false;
   Prng Rng;
-
-  uint64_t AllocN = 0;
-  uint64_t SpawnN = 0;
-  uint64_t TouchN = 0;
-  uint64_t StealN = 0;
-  uint64_t SeamSplitN = 0;
-  size_t AllocIdx = 0; ///< next unconsumed entry of Plan.AllocFailAt
-  size_t GcIdx = 0;    ///< next unconsumed entry of Plan.GcAtCycles
-  size_t SpawnIdx = 0;
-  size_t TouchIdx = 0;
-  size_t StealIdx = 0;
-  size_t SeamSplitIdx = 0;
-  size_t ProcKillIdx = 0; ///< next unconsumed entry of Plan.ProcKills
-  size_t AdaptClampIdx = 0; ///< next unconsumed entry of Plan.AdaptClamps
-  size_t AdaptResetIdx = 0; ///< next unconsumed entry of Plan.AdaptResetAt
-  size_t QuotaSqueezeIdx = 0; ///< next unconsumed entry of Plan.QuotaSqueezes
-  size_t AdmitBurstIdx = 0;   ///< next unconsumed entry of Plan.AdmitBursts
-  std::vector<bool> StallDone; ///< parallel to Plan.Stalls
+  /// Per list row, by kind: its entries not yet consumed, in plan order.
+  std::array<std::vector<FaultEntry>, NumFaultKinds> Pending;
+  /// Per counted site, by kind: events seen since arming.
+  std::array<uint64_t, NumFaultKinds> Count{};
   bool PendingInjectedAllocFail = false;
 };
 

@@ -102,11 +102,7 @@ void Telemetry::clear() {
 // Rendering and export
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// "gc_pause_cycles" -> "gc-pause": the short name used by `:histo`, the
-/// `:stats` latency lines and the bench `;; histo:` tags.
-std::string displayName(std::string_view Name) {
+std::string mult::displayName(std::string_view Name) {
   std::string_view Base = Name;
   constexpr std::string_view Suffix = "_cycles";
   if (Base.size() > Suffix.size() &&
@@ -118,6 +114,8 @@ std::string displayName(std::string_view Name) {
       C = '-';
   return Out;
 }
+
+namespace {
 
 /// Matches a user-typed `:histo` argument against a metric: accepts the
 /// registered name, the short display name, or either with '-' and '_'

@@ -247,6 +247,10 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
+/// "gc_pause_cycles" -> "gc-pause": the short name used by `:histo`, the
+/// `:stats` latency lines and the bench `;; histo:` tags.
+std::string displayName(std::string_view Name);
+
 /// \name Export
 /// @{
 /// One histogram in full (the REPL's `:histo NAME`): merged buckets,

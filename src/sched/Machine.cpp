@@ -64,7 +64,7 @@ void Machine::closeAdaptiveWindow(Engine &E, Processor &P) {
   W.Processors = numProcessors();
 
   if (E.faults().armed()) {
-    if (E.faults().takeAdaptReset(Ordinal)) {
+    if (E.faults().fires(FaultKind::AdaptReset, Ordinal)) {
       // Discard the window's samples and any pending votes.
       E.noteFault(P, FaultKind::AdaptReset, Ordinal);
       A.PendingDir = 0;
@@ -72,10 +72,10 @@ void Machine::closeAdaptiveWindow(Engine &E, Processor &P) {
       beginAdaptiveWindow(P);
       return;
     }
-    uint32_t Forced;
-    if (E.faults().takeAdaptClamp(Ordinal, Forced)) {
+    uint64_t Forced = 0;
+    if (E.faults().fires(FaultKind::AdaptClamp, Ordinal, &Forced)) {
       unsigned Old = A.T;
-      A.T = std::clamp(Forced, Adaptive.MinT, Adaptive.MaxT);
+      A.T = std::clamp(uint32_t(Forced), Adaptive.MinT, Adaptive.MaxT);
       A.PendingDir = 0;
       A.PendingCount = 0;
       E.noteFault(P, FaultKind::AdaptClamp, A.T);
@@ -314,66 +314,71 @@ RunResult Machine::run(Engine &E) {
       E.supervisorTick(P);
 
     if (E.faults().armed()) {
-      // Fail-stop processor kill. Polled at quantum granularity on the
-      // min-clock processor, so a kill never lands mid-instruction or
-      // mid-GC; the schedule around it stays deterministic. Killing the
-      // last live processor (or a dead/bogus target) is consumed with no
-      // effect — an unrunnable machine helps nobody.
-      unsigned Victim;
-      uint64_t KillMark;
-      if (E.faults().takeProcKill(P.Clock - Start, Victim, KillMark)) {
-        if (Victim < Procs.size() && !Procs[Victim].Dead &&
-            liveProcessors() > 1) {
-          Processor &Dead = Procs[Victim];
-          Dead.Dead = true;
-          if (Dead.Current == InvalidTask && Dead.TraceIdling) {
-            Dead.TraceIdling = false;
-            E.tracer().record(TraceEventKind::IdleEnd, Dead.Id, Dead.Clock);
+      // Clock marks are polled at quantum granularity on the min-clock
+      // processor, so none lands mid-instruction or mid-GC and the
+      // schedule around it stays deterministic. At most one fires per
+      // poll, the first due in this order.
+      static constexpr FaultKind MarkOrder[] = {
+          FaultKind::ProcKill, FaultKind::Stall, FaultKind::QuotaSqueeze,
+          FaultKind::AdmitBurst, FaultKind::SpuriousGc};
+      FaultEntry M;
+      const FaultKind *Due =
+          std::find_if(std::begin(MarkOrder), std::end(MarkOrder),
+                       [&](FaultKind K) {
+                         return E.faults().takeMark(K, P.Clock - Start, M,
+                                                    P.Id);
+                       });
+      if (Due != std::end(MarkOrder)) {
+        switch (*Due) {
+        case FaultKind::ProcKill:
+          // Fail-stop processor kill. A target that cannot die (see
+          // Engine::canFailStop) is consumed with no effect.
+          if (E.canFailStop(unsigned(M.Arg))) {
+            Processor &Dead = Procs[M.Arg];
+            Dead.Dead = true;
+            if (Dead.Current == InvalidTask && Dead.TraceIdling) {
+              Dead.TraceIdling = false;
+              E.tracer().record(TraceEventKind::IdleEnd, Dead.Id,
+                                Dead.Clock);
+            }
+            // The survivor that observes the kill pays for the recovery
+            // scan; an orphaned future stops its group there.
+            Processor &Obs = Procs[minClockProcessor()];
+            Stepped = &Obs;
+            E.noteFault(Obs, FaultKind::ProcKill, M.Arg);
+            E.recoverProcessor(Obs, Dead, Start + M.Key);
           }
-          // The survivor that observes the kill pays for the recovery
-          // scan; an orphaned future stops its group there.
-          Processor &Obs = Procs[minClockProcessor()];
-          Stepped = &Obs;
-          E.noteFault(Obs, FaultKind::ProcKill, Victim);
-          E.recoverProcessor(Obs, Dead, Start + KillMark);
+          break;
+        case FaultKind::Stall: {
+          // Processor stall window: the board drops off the bus for a
+          // while. The skipped cycles are idle time, so the clock still
+          // tiles.
+          uint64_t Jump = Start + M.Key + M.Len - P.Clock;
+          E.noteFault(P, FaultKind::Stall, Jump);
+          P.Clock += Jump;
+          P.IdleCycles += Jump;
+          break;
         }
-        continue;
-      }
-      // Processor stall window: the board drops off the bus for a while.
-      // The skipped cycles are idle time, so the clock still tiles.
-      uint64_t StallEndRel;
-      if (E.faults().takeStall(P.Id, P.Clock - Start, StallEndRel)) {
-        uint64_t Jump = Start + StallEndRel - P.Clock;
-        E.noteFault(P, FaultKind::Stall, Jump);
-        P.Clock += Jump;
-        P.IdleCycles += Jump;
-        continue;
-      }
-      // Quota squeeze: clamp a group's heap quota to half its current
-      // account, as if an operator tightened a tenant's envelope mid-run.
-      unsigned SqueezeG;
-      uint64_t SqueezeMark;
-      if (E.faults().takeQuotaSqueeze(P.Clock - Start, SqueezeG,
-                                      SqueezeMark)) {
-        E.noteFault(P, FaultKind::QuotaSqueeze, SqueezeG);
-        E.applyQuotaSqueeze(P, SqueezeG);
-        continue;
-      }
-      // Synthetic admission burst: N probe launches hit the gate at once,
-      // exercising the admit/queue/reject partition deterministically.
-      unsigned BurstN;
-      uint64_t BurstMark;
-      if (E.faults().takeAdmitBurst(P.Clock - Start, BurstN, BurstMark)) {
-        E.noteFault(P, FaultKind::AdmitBurst, BurstN);
-        E.admitSyntheticBurst(P, BurstN);
-        continue;
-      }
-      // Forced spurious collection at a virtual-time mark.
-      uint64_t GcMark;
-      if (E.faults().takeForcedGc(P.Clock - Start, GcMark)) {
-        E.noteFault(P, FaultKind::SpuriousGc, GcMark);
-        if (!E.collectGarbage())
-          return HeapExhaustedExit(P.Clock, "cannot start a collection");
+        case FaultKind::QuotaSqueeze:
+          // Clamp a group's heap quota to half its current account, as if
+          // an operator tightened a tenant's envelope mid-run.
+          E.noteFault(P, FaultKind::QuotaSqueeze, M.Arg);
+          E.applyQuotaSqueeze(P, unsigned(M.Arg));
+          break;
+        case FaultKind::AdmitBurst:
+          // N probe launches hit the gate at once, exercising the
+          // admit/queue/reject partition deterministically.
+          E.noteFault(P, FaultKind::AdmitBurst, M.Arg);
+          E.admitSyntheticBurst(P, unsigned(M.Arg));
+          break;
+        case FaultKind::SpuriousGc:
+          E.noteFault(P, FaultKind::SpuriousGc, M.Key);
+          if (!E.collectGarbage())
+            return HeapExhaustedExit(P.Clock, "cannot start a collection");
+          break;
+        default: // MarkOrder names every clock-mark kind
+          break;
+        }
         continue;
       }
     }

@@ -111,7 +111,7 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
     // Injected probe failure: the probe happens (lock acquired, queue
     // looked at) but comes back empty-handed, preserving the
     // Steals + StealsFailed == StealAttempts identity.
-    if (E.faults().armed() && E.faults().shouldFailSteal()) {
+    if (E.faults().armed() && E.faults().fires(FaultKind::StealFail)) {
       ++P.StealAttempts;
       ++P.StealsFailed;
       Cycles += cost::QueueLockHold;

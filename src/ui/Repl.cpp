@@ -146,9 +146,9 @@ void Repl::cmdHelp() {
          "  :profile FILE    derive per-future-site policies (eager/\n"
          "                   inline/lazy) from that profile and write them\n"
          "                   to FILE (next run: MULT_SITE_POLICIES=FILE)\n"
-         "  :faults [SPEC]   show, arm (SPEC, see DESIGN.md or\n"
-         "                   MULT_FAULTS), or disarm (:faults off) the\n"
-         "                   deterministic fault injector\n"
+         "  :faults [SPEC]   show, arm (SPEC, see fault clauses below),\n"
+         "                   or disarm (:faults off) the deterministic\n"
+         "                   fault injector\n"
          "  :quota [SPEC]    show, set (heap=WORDS;cycles=N;live=N;\n"
          "                   queue=N, like MULT_QUOTA), or disarm\n"
          "                   (:quota off) per-group resource quotas\n"
@@ -163,6 +163,10 @@ void Repl::cmdHelp() {
          "its config field only where the code left the default\n";
   for (const EnvSwitch &S : envSwitches())
     Out << strFormat("  %-19s%s\n", S.Name, S.Doc);
+  Out << "fault clauses (:faults SPEC or MULT_FAULTS): ';' between clauses,\n"
+         "N counts events since arming, C and B are run-relative cycles\n";
+  for (const FaultClause &C : faultClauses())
+    Out << strFormat("  %-25s%s\n", clauseSyntax(C).c_str(), C.Doc);
 }
 
 void Repl::cmdGroups() {

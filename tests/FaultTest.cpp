@@ -12,6 +12,7 @@
 #include "fault/FaultPlan.h"
 #include "ui/Repl.h"
 
+#include <algorithm>
 #include <tuple>
 
 using namespace mult;
@@ -38,23 +39,12 @@ TEST(FaultPlanTest, ParsesEveryClause) {
       " queue-cap=8; stall=1@100+50,0@0+10",
       P, Err))
       << Err;
-  EXPECT_EQ(P.Seed, 7u);
-  ASSERT_EQ(P.AllocFailAt.size(), 2u); // sorted + deduped
-  EXPECT_EQ(P.AllocFailAt[0], 1u);
-  EXPECT_EQ(P.AllocFailAt[1], 3u);
-  EXPECT_EQ(P.AllocFailEvery, 100u);
-  ASSERT_EQ(P.GcAtCycles.size(), 2u);
-  EXPECT_EQ(P.GcAtCycles[0], 250u);
-  EXPECT_EQ(P.SpawnErrorAt, std::vector<uint64_t>{2});
-  EXPECT_EQ(P.TouchErrorAt, std::vector<uint64_t>{4});
-  EXPECT_DOUBLE_EQ(P.StealFailProb, 0.25);
-  EXPECT_EQ(P.StealFailAt, std::vector<uint64_t>{6});
-  ASSERT_TRUE(P.QueueCap.has_value());
-  EXPECT_EQ(*P.QueueCap, 8u);
-  ASSERT_EQ(P.Stalls.size(), 2u);
-  EXPECT_EQ(P.Stalls[0].Begin, 0u); // stable-sorted by Begin
-  EXPECT_EQ(P.Stalls[1].Proc, 1u);
-  EXPECT_EQ(P.Stalls[1].Length, 50u);
+  // Ordinal and mark lists sorted and deduplicated, stalls stable-sorted
+  // by their mark.
+  EXPECT_EQ(P.format(),
+            "seed=7;alloc-fail=1,3;alloc-fail-every=100;gc-at=250,500;"
+            "spawn-error=2;touch-error=4;steal-fail=0.25;steal-fail-at=6;"
+            "queue-cap=8;stall=0@0+10,1@100+50");
   EXPECT_FALSE(P.empty());
 }
 
@@ -64,14 +54,9 @@ TEST(FaultPlanTest, ParsesProcKillAndSeamSplitFail) {
   ASSERT_TRUE(FaultPlan::parse(
       "proc-kill=2@5000,0@1000; seam-split-fail=7,3,3", P, Err))
       << Err;
-  ASSERT_EQ(P.ProcKills.size(), 2u); // sorted by virtual-time mark
-  EXPECT_EQ(P.ProcKills[0].Proc, 0u);
-  EXPECT_EQ(P.ProcKills[0].AtCycles, 1000u);
-  EXPECT_EQ(P.ProcKills[1].Proc, 2u);
-  EXPECT_EQ(P.ProcKills[1].AtCycles, 5000u);
-  ASSERT_EQ(P.SeamSplitFailAt.size(), 2u); // sorted + deduped
-  EXPECT_EQ(P.SeamSplitFailAt[0], 3u);
-  EXPECT_EQ(P.SeamSplitFailAt[1], 7u);
+  // Kills stable-sorted by their mark; split ordinals sorted and
+  // deduplicated.
+  EXPECT_EQ(P.format(), "proc-kill=0@1000,2@5000;seam-split-fail=3,7");
   EXPECT_FALSE(P.empty());
 }
 
@@ -135,6 +120,85 @@ TEST(FaultPlanTest, EmptySpecIsEmptyPlan) {
   EXPECT_TRUE(P.empty());
   ASSERT_TRUE(FaultPlan::parse("seed=42", P, Err));
   EXPECT_TRUE(P.empty()) << "a seed alone cannot fire any fault";
+}
+
+/// A valid value of \p Shape, its canonical format, and the malformed
+/// values of that shape.
+struct ShapeSample {
+  const char *Value;
+  const char *Canonical;
+  std::vector<const char *> Malformed;
+};
+
+ShapeSample sampleOf(ClauseShape Shape) {
+  switch (Shape) {
+  case ClauseShape::Ordinals:
+    return {"3, 1,3", "1,3", {"0", "2,0", "1@2", "x"}};
+  case ClauseShape::Clamps:
+    return {"4@16,2@0", "2@0,4@16", {"0@1", "5", "1@4294967296"}};
+  case ClauseShape::Marks:
+    return {"500,0,500", "0,500", {"1@2", "-1"}};
+  case ClauseShape::Targets:
+    return {"2@5000,0@1000,2@5000", "0@1000,2@5000,2@5000",
+            {"4000", "65536@1", "@5"}};
+  case ClauseShape::Bursts:
+    return {"8@4000,2@100", "2@100,8@4000", {"0@100", "8", "65536@1"}};
+  case ClauseShape::Windows:
+    return {"1@100+50,0@100+10", "1@100+50,0@100+10",
+            {"1@100", "100+50", "65536@0+1", "1@0+0"}};
+  case ClauseShape::Seed:
+    return {"7", "7", {"x", ""}};
+  case ClauseShape::Every:
+    return {"100", "100", {"0"}};
+  case ClauseShape::Probability:
+    return {"0.25", "0.25", {"1.5", "x"}};
+  case ClauseShape::Cap:
+    return {"8", "8", {"4294967296", "x"}};
+  }
+  return {};
+}
+
+TEST(FaultPlanTest, EveryClauseRoundTrips) {
+  std::vector<FaultKind> ListKinds;
+  for (const FaultClause &C : faultClauses()) {
+    SCOPED_TRACE(C.Key);
+    ShapeSample Sample = sampleOf(C.Shape);
+    FaultPlan P;
+    std::string Err;
+    ASSERT_TRUE(
+        FaultPlan::parse(std::string(C.Key) + "=" + Sample.Value, P, Err))
+        << Err;
+    std::string Canonical = std::string(C.Key) + "=" + Sample.Canonical;
+    EXPECT_EQ(P.format(), Canonical);
+    FaultPlan Q;
+    ASSERT_TRUE(FaultPlan::parse(P.format(), Q, Err)) << Err;
+    EXPECT_EQ(Q.format(), Canonical);
+    EXPECT_EQ(P.empty(), C.Shape == ClauseShape::Seed);
+    for (const char *Bad : Sample.Malformed) {
+      std::string Spec = std::string(C.Key) + "=" + Bad;
+      EXPECT_FALSE(FaultPlan::parse(Spec, P, Err)) << Spec;
+      EXPECT_EQ(Err, "bad value in clause '" + Spec + "'");
+    }
+    if (C.Shape < ClauseShape::Seed) {
+      EXPECT_EQ(std::count(ListKinds.begin(), ListKinds.end(), C.Kind), 0)
+          << "two list rows share a kind";
+      ListKinds.push_back(C.Kind);
+    }
+  }
+}
+
+TEST(FaultPlanTest, HelpListsEveryClause) {
+  Engine E(config(1));
+  std::string Buf;
+  StringOutStream Out(Buf);
+  Repl R(E, Out);
+  R.processLine(":help");
+  size_t Section = Buf.find("fault clauses");
+  ASSERT_NE(Section, std::string::npos) << Buf;
+  for (const FaultClause &C : faultClauses())
+    EXPECT_NE(Buf.find("  " + clauseSyntax(C) + " ", Section),
+              std::string::npos)
+        << C.Key;
 }
 
 //===----------------------------------------------------------------------===//

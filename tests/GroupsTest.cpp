@@ -266,6 +266,59 @@ TEST(GroupsTest, GroupsTrackTheirTaskCounts) {
   EXPECT_EQ(G.State, GroupState::Done);
 }
 
+/// Defines `loop` and a future that outlives its group's root, arms
+/// \p Faults, then runs a later eval while the future raises its error
+/// (or a kill orphans it). Returns the later eval's result.
+EvalResult outliveTheRoot(Engine &E, std::string_view Faults = "") {
+  evalOk(E, "(define (loop n) (if (= n 0) 0 (loop (- n 1))))");
+  evalOk(E, "(define f (future (begin (loop 5000) (car 1))))");
+  std::string Err;
+  EXPECT_TRUE(E.configureFaults(Faults, Err)) << Err;
+  return E.eval("(loop 20000)");
+}
+
+TEST(GroupsTest, ErrorInAFinishedGroupStopsIt) {
+  Engine E(config(2));
+  EvalResult Later = outliveTheRoot(E);
+  // The eval running when the stop lands keeps its own result.
+  ASSERT_TRUE(Later.ok()) << Later.Error;
+  EXPECT_EQ(Later.Val.asFixnum(), 0);
+  GroupId F = E.currentStoppedGroup();
+  ASSERT_NE(F, InvalidGroup);
+  EXPECT_EQ(E.stoppedGroups(), std::vector<GroupId>{F});
+  EXPECT_NE(E.findGroup(F)->Condition.find("car of a non-pair"),
+            std::string::npos);
+  // The root future resolved long ago: the resume ends with its value,
+  // and the resumed future delivers the substituted one.
+  EvalResult R = E.resumeGroup(F, Value::fixnum(7));
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(E.findGroup(F)->State, GroupState::Done);
+  EXPECT_TRUE(E.stoppedGroups().empty());
+  EXPECT_EQ(evalFixnum(E, "(touch f)"), 7);
+}
+
+TEST(GroupsTest, OrphanInAFinishedGroupStopsIt) {
+  EngineConfig C = config(2);
+  C.Recovery = false;
+  Engine E(C);
+  EvalResult Later = outliveTheRoot(E, "proc-kill=1@2000");
+  ASSERT_TRUE(Later.ok()) << Later.Error;
+  GroupId F = E.currentStoppedGroup();
+  ASSERT_NE(F, InvalidGroup);
+  EXPECT_NE(E.findGroup(F)->Condition.find("processor-lost"),
+            std::string::npos)
+      << E.findGroup(F)->Condition;
+  EvalResult R = E.resumeGroup(F, Value::fixnum(7));
+  ASSERT_TRUE(R.ok()) << R.Error;
+  // The resumed orphan reaches its own error in a later run, which stops
+  // the group again; :kill reaches it there.
+  evalOk(E, "(loop 20000)");
+  ASSERT_EQ(E.currentStoppedGroup(), F);
+  E.killGroup(F);
+  EXPECT_EQ(E.findGroup(F)->State, GroupState::Killed);
+  EXPECT_TRUE(E.stoppedGroups().empty());
+}
+
 //===----------------------------------------------------------------------===//
 // The REPL layer over groups.
 //===----------------------------------------------------------------------===//
